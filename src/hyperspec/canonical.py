@@ -1,160 +1,114 @@
-"""Canonical forms for hypergraphs up to isomorphism.
+"""Canonical forms for hypertrees and unicyclic hypergraphs.
 
-The hypergraph is encoded as its vertex-edge incidence graph with two color
-classes (vertex nodes, edge nodes).  A canonical labeling is found by
-iterative partition refinement plus backtracking over symmetry-breaking
-choices; automorphisms discovered along the way prune equivalent branches,
-which keeps the search near-linear on the pendant-heavy instances produced
-by the family builders and the enumerator.
+The hypergraph is encoded as its vertex-edge incidence graph, with vertex
+nodes and edge nodes kept apart by color.  For the classes the library
+handles, hypertrees and hypergraphs whose incidence graph has exactly one
+cycle, an Aho-Hopcroft-Ullman tree code decides isomorphism:
+
+* leaves are stripped layer by layer; each stripped node gets the code of
+  the rooted tree it carries, numbered within its layer by sorting
+  (color, sorted child codes);
+* what survives is the center node of a hypertree or the unique cycle;
+  each survivor gets a branch code the same way, and the cycle is read in
+  the least order over all rotations and both directions;
+* the canonical relabeling numbers the vertex nodes in depth-first order
+  from that core, visiting children in code order.
+
+Children with equal codes carry isomorphic subtrees and rotations with
+equal code sequences are automorphisms, so every tie-break yields the same
+edge list.  Disconnected inputs, and inputs whose incidence graph has more
+than one cycle, raise ValueError.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from .hypergraph import Hypergraph
 
 __all__ = ["canonicalize", "canonical_form", "canonical_id"]
-
-_MAX_GENERATORS = 128
-
-
-def _refine(adj: list[list[int]], cells: list[list[int]]) -> list[list[int]]:
-    """Split cells by multiset of neighbor cell indices until stable."""
-    while True:
-        pos = {}
-        for i, cell in enumerate(cells):
-            for v in cell:
-                pos[v] = i
-        out: list[list[int]] = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                out.append(cell)
-                continue
-            groups: dict[tuple, list[int]] = defaultdict(list)
-            for v in cell:
-                cnt: dict[int, int] = defaultdict(int)
-                for w in adj[v]:
-                    cnt[pos[w]] += 1
-                groups[tuple(sorted(cnt.items()))].append(v)
-            if len(groups) > 1:
-                changed = True
-            for key in sorted(groups):
-                out.append(groups[key])
-        cells = out
-        if not changed:
-            return cells
-
-
-class _Search:
-    """Individualization-refinement search for the minimal leaf certificate."""
-
-    def __init__(self, adj: list[list[int]], n_vertex: int):
-        self.adj = adj
-        self.n_vertex = n_vertex
-        self.best_cert: tuple | None = None
-        self.best_order: tuple[int, ...] | None = None
-        self.first_cert: tuple | None = None
-        self.first_order: tuple[int, ...] | None = None
-        self.generators: list[dict[int, int]] = []
-
-    def _certificate(self, order: tuple[int, ...]) -> tuple:
-        # Bipartite adjacency is fully determined by the edge-node rows.
-        pos = {v: i for i, v in enumerate(order)}
-        return tuple(
-            tuple(sorted(pos[w] for w in self.adj[v]))
-            for v in order
-            if v >= self.n_vertex
-        )
-
-    def _record_automorphism(self, o1: tuple[int, ...], o2: tuple[int, ...]) -> None:
-        if len(self.generators) >= _MAX_GENERATORS:
-            return
-        g = {o1[i]: o2[i] for i in range(len(o1))}
-        if any(g[v] != v for v in g):
-            self.generators.append(g)
-
-    def _pruned(self, v: int, tried: list[int], path: tuple[int, ...]) -> bool:
-        """v is redundant if a discovered automorphism fixing the current
-        individualization path maps some already-tried candidate to v."""
-        fixing = [g for g in self.generators if all(g[p] == p for p in path)]
-        if not fixing:
-            return False
-        orbit = set(tried)
-        frontier = list(tried)
-        while frontier:
-            u = frontier.pop()
-            for g in fixing:
-                w = g[u]
-                if w == v:
-                    return True
-                if w not in orbit:
-                    orbit.add(w)
-                    frontier.append(w)
-        return False
-
-    def run(self, cells: list[list[int]]) -> tuple[int, ...]:
-        self._search(cells, ())
-        assert self.best_order is not None
-        return self.best_order
-
-    def _search(self, cells: list[list[int]], path: tuple[int, ...]) -> None:
-        cells = _refine(self.adj, cells)
-        target = None
-        for i, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = i
-                break
-        if target is None:
-            order = tuple(cell[0] for cell in cells)
-            cert = self._certificate(order)
-            if self.first_cert is None:
-                self.first_cert, self.first_order = cert, order
-            elif cert == self.first_cert and order != self.first_order:
-                self._record_automorphism(self.first_order, order)
-            if self.best_cert is None or cert < self.best_cert:
-                self.best_cert, self.best_order = cert, order
-            elif cert == self.best_cert and order != self.best_order:
-                self._record_automorphism(self.best_order, order)
-            return
-        tried: list[int] = []
-        for v in sorted(cells[target]):
-            if tried and self._pruned(v, tried, path):
-                continue
-            sub = (
-                cells[:target]
-                + [[v], [w for w in cells[target] if w != v]]
-                + cells[target + 1 :]
-            )
-            self._search(sub, path + (v,))
-            tried.append(v)
 
 
 def canonicalize(h: Hypergraph) -> Hypergraph:
     """Relabel h into its canonical representative.
 
     Two hypergraphs are isomorphic iff their canonicalize() results are
-    equal (same k, same vertex count, identical edge lists).
+    equal (same k, same vertex count, identical edge lists).  Raises
+    ValueError unless h is connected with at most one cycle in its
+    incidence graph.
     """
     n, m = h.n, h.m
-    adj: list[list[int]] = [[] for _ in range(n + m)]
-    for j, e in enumerate(h.edges):
-        for v in e:
-            adj[v].append(n + j)
-            adj[n + j].append(v)
-    search = _Search(adj, n)
-    order = search.run([list(range(n)), list(range(n, n + m))])
-    # vertex nodes always occupy the first n positions: cell splits happen in
-    # place, so the vertex block stays ahead of the edge block
-    label = {v: i for i, v in enumerate(order[:n])}
+    if not h.is_connected:
+        raise ValueError("canonical code needs a connected hypergraph")
+    cycles = m * h.k - (n + m) + 1
+    if cycles > 1:
+        raise ValueError(
+            f"canonical code needs at most one cycle in the incidence graph, found {cycles}"
+        )
+    # nodes 0..n-1 are vertices, n..n+m-1 are edges
+    adj = [[n + j for j in inc] for inc in h.incidence] + [list(e) for e in h.edges]
+    stripped = [False] * (n + m)
+    code: list[tuple[int, int]] = [(0, 0)] * (n + m)
+
+    def number(layer: list[int], depth: int) -> None:
+        keys = {
+            x: (x >= n, tuple(sorted(code[y] for y in adj[x] if stripped[y])))
+            for x in layer
+        }
+        index = {key: i for i, key in enumerate(sorted(set(keys.values())))}
+        for x in layer:
+            code[x] = (depth, index[keys[x]])
+
+    deg = [len(a) for a in adj]
+    layer = [x for x in range(n + m) if deg[x] == 1]
+    alive, depth = n + m, 0
+    # A cycle never becomes a leaf.  A hypertree's leaves are all vertex
+    # nodes, so its incidence tree has even diameter and a single center.
+    while layer and alive > 1:
+        number(layer, depth)
+        for x in layer:
+            stripped[x] = True
+        nxt = []
+        for x in layer:
+            for y in adj[x]:
+                if not stripped[y]:
+                    deg[y] -= 1
+                    if deg[y] == 1:
+                        nxt.append(y)
+        alive -= len(layer)
+        layer, depth = nxt, depth + 1
+    core = [x for x in range(n + m) if not stripped[x]]
+    number(core, depth)
+
+    # walk the center or the cycle, then take its least reading
+    walk, on_walk = [core[0]], {core[0]}
+    while step := [y for y in adj[walk[-1]] if not stripped[y] and y not in on_walk]:
+        walk.append(step[0])
+        on_walk.add(step[0])
+    start = min(
+        (w[i:] + w[:i] for w in (walk, walk[::-1]) for i in range(len(w))),
+        key=lambda r: [code[x] for x in r],
+    )
+
+    order = []
+    seen = set(start)
+    stack = start[::-1]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        kids = sorted((y for y in adj[x] if y not in seen), key=code.__getitem__)
+        seen.update(kids)
+        stack.extend(reversed(kids))
+    label = {x: i for i, x in enumerate(x for x in order if x < n)}
     edges = sorted(tuple(sorted(label[v] for v in e)) for e in h.edges)
     return Hypergraph(k=h.k, n=n, edges=tuple(edges))
 
 
 def canonical_form(h: Hypergraph) -> bytes:
     """Canonical byte string; equal iff hypergraphs are isomorphic."""
-    c = canonicalize(h)
+    return encode_canonical(canonicalize(h))
+
+
+def encode_canonical(c: Hypergraph) -> bytes:
+    """The canonical_form() of c, for a c that canonicalize() returned."""
     body = ";".join(",".join(str(v) for v in e) for e in c.edges)
     return f"k{c.k} n{c.n} {body}".encode("ascii")
 

@@ -154,6 +154,8 @@ def _cmd_profile(args) -> int:
 def _match_alpha_family(h) -> tuple[str, float] | None:
     """Recognize the input as a P- or O-family member and return its exact
     alpha, or None."""
+    if structural_profile(h).classification != "unicyclic":
+        return None
     key = canonical_form(h)
     if h.m >= 5:
         p = family(FamilySpec(tag="P", k=h.k, m=h.m))
@@ -451,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", required=True, help="edge count or range a..b")
     p.add_argument("--format", choices=["csv", "md", "json"], default="md")
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
     _add_iter_flags(p, default_tol=1e-10)
     p.set_defaults(handler=_cmd_verify)

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .alpha_normal import rho_from_alpha, solve_alpha_O, solve_alpha_P
-from .canonical import canonical_form, canonical_id, canonicalize
+from .canonical import canonical_form, canonical_id, canonicalize, encode_canonical
 from .families import FamilySpec, family, simple_family_graph
 from .hypergraph import Hypergraph, make_hypergraph
 from .spectral import (
@@ -49,16 +49,12 @@ def _attach_pendant(h: Hypergraph, v: int) -> Hypergraph:
     return make_hypergraph(h.k, list(h.edges) + [edge])
 
 
-def _expand_entry(args: tuple[int, tuple[tuple[int, ...], ...]]) -> list[tuple[bytes, tuple]]:
+def _expand_entry(args: tuple[int, tuple[tuple[int, ...], ...]]) -> list[tuple]:
+    """Canonical edge lists of every one-pendant extension of one class."""
     k, edges = args
     n = 1 + max(v for e in edges for v in e)
     h = Hypergraph(k=k, n=n, edges=edges)
-    out = []
-    for v in range(h.n):
-        grown = canonicalize(_attach_pendant(h, v))
-        key = canonical_form(grown)
-        out.append((key, grown.edges))
-    return out
+    return [canonicalize(_attach_pendant(h, v)).edges for v in range(h.n)]
 
 
 def enumerate_linear_unicyclic(
@@ -88,15 +84,16 @@ def enumerate_linear_unicyclic(
             f"enumeration at m={m} is expensive; pass allow_large=True (or --allow-large)"
         )
     rng = random.Random(_shuffle_seed) if _shuffle_seed is not None else None
-    level: dict[bytes, Hypergraph] = {}
+    # canonical representatives are equal iff isomorphic, so (n, edges) is the key
+    level: dict[tuple, Hypergraph] = {}
     executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
         for j in range(3, m + 1):
-            nxt: dict[bytes, Hypergraph] = {}
+            nxt: dict[tuple, Hypergraph] = {}
             seed = canonicalize(
                 family(FamilySpec(tag="CyclePower", k=k, m=j, g=j))
             )
-            nxt[canonical_form(seed)] = seed
+            nxt[(seed.n, seed.edges)] = seed
             work = [(k, h.edges) for h in level.values()]
             if rng is not None:
                 rng.shuffle(work)
@@ -105,10 +102,10 @@ def enumerate_linear_unicyclic(
             else:
                 batches = map(_expand_entry, work)
             for batch in batches:
-                for key, edges in batch:
-                    if key not in nxt:
-                        n = 1 + max(v for e in edges for v in e)
-                        nxt[key] = Hypergraph(k=k, n=n, edges=edges)
+                for edges in batch:
+                    n = 1 + max(v for e in edges for v in e)
+                    if (n, edges) not in nxt:
+                        nxt[(n, edges)] = Hypergraph(k=k, n=n, edges=edges)
             if cap is not None and len(nxt) > cap:
                 raise RuntimeError(
                     f"class cap exceeded at m={j}: {len(nxt)} > {cap}"
@@ -117,7 +114,7 @@ def enumerate_linear_unicyclic(
     finally:
         if executor is not None:
             executor.shutdown()
-    return [level[key] for key in sorted(level)]
+    return sorted(level.values(), key=encode_canonical)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ import pytest
 
 from hyperspec import (
     IterationOptions,
-    canonicalize,
     enumerate_linear_unicyclic,
     spectral_radius_tensor,
 )
@@ -30,14 +29,16 @@ def pool_by_m():
 
 @pytest.fixture(scope="session")
 def rho_of():
-    """Spectral radius by isomorphism class, cached on the canonical form."""
+    """Spectral radius cached on the hypergraph value.
+
+    Not keyed on a canonical form: callers pass rewiring outputs that may be
+    nonlinear or have several cycles, outside the canonical code's domain.
+    """
     cache = {}
 
     def get(h):
-        c = canonicalize(h)
-        key = (c.k, c.edges)
-        if key not in cache:
-            cache[key] = spectral_radius_tensor(c, POOL_OPTS)
-        return cache[key]
+        if h not in cache:
+            cache[h] = spectral_radius_tensor(h, POOL_OPTS)
+        return cache[h]
 
     return get

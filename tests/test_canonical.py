@@ -2,16 +2,22 @@
 
 import random
 
+import pytest
 from helpers import brute_isomorphic, relabel
 
 from hyperspec import (
+    EdgeMove,
     FamilySpec,
     canonical_form,
     canonicalize,
     family,
+    make_hypergraph,
+    move_edges,
     power_hypergraph,
     simple_s,
 )
+
+HYPERPATH = make_hypergraph(3, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8)])
 
 
 def test_relabelings_of_triangle_power_agree():
@@ -65,6 +71,10 @@ def test_canonical_matches_brute_force_on_small_cases():
         family(FamilySpec(tag="CyclePower", k=3, m=4, g=4)),
         family(FamilySpec(tag="P", k=3, m=5)),
         family(FamilySpec(tag="Q", k=3, m=5)),
+        family(FamilySpec(tag="Hyperstar", k=3, m=4)),
+        HYPERPATH,
+        # edge (2,3,4) re-anchored from 3 to 0 now shares {0, 2} with (0,1,2)
+        move_edges(HYPERPATH, [EdgeMove(edge=1, src=3, dst=0)]).hypergraph,
     ]
     for i, a in enumerate(instances):
         for j, b in enumerate(instances):
@@ -77,3 +87,26 @@ def test_canonical_matches_brute_force_on_small_cases():
         r = relabel(h, perm)
         assert canonical_form(r) == canonical_form(h)
         assert brute_isomorphic(r, h)
+
+
+def test_relabelings_of_large_star_power_agree():
+    h = family(FamilySpec(tag="S", k=6, m=9, g=3))
+    base = canonical_form(h)
+    rng = random.Random(7)
+    for _ in range(20):
+        perm = list(range(h.n))
+        rng.shuffle(perm)
+        assert canonical_form(relabel(h, perm)) == base
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1, 2), (3, 4, 5)],
+        [(0, 1, 2), (0, 2, 6), (2, 3, 4), (4, 5, 6)],
+    ],
+    ids=["disconnected", "two-cycles"],
+)
+def test_canonicalize_rejects_inputs_outside_its_domain(edges):
+    with pytest.raises(ValueError):
+        canonicalize(make_hypergraph(3, edges))

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hyperspec.cli import run
 
 
@@ -44,6 +46,19 @@ def test_rho_alpha_rejects_other_shapes(tmp_path, capsys):
     out = tmp_path / "t1.json"
     invoke(capsys, "build", "--family", "T1", "--k", "3", "--m", "5", "-o", str(out))
     code, _, err = invoke(capsys, "rho", str(out), "--method", "alpha")
+    assert code == 2
+    assert "P and O" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3 2\n0 1 2\n3 4 5\n", "3 4\n0 1 2\n0 2 6\n2 3 4\n4 5 6\n"],
+    ids=["disconnected", "two-cycles"],
+)
+def test_rho_alpha_rejects_non_unicyclic_input(tmp_path, capsys, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, _, err = invoke(capsys, "rho", str(path), "--method", "alpha")
     assert code == 2
     assert "P and O" in err
 

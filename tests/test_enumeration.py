@@ -116,6 +116,10 @@ def test_k4_m5_count():
         assert structural_profile(h).classification == "unicyclic"
 
 
+def test_k4_m6_count():
+    assert len(enumerate_linear_unicyclic(4, 6)) == 47
+
+
 def test_rank_top_two_at_m5(pool_by_m):
     entries = rank_by_rho(pool_by_m[5])
     s53 = canonical_form(family(FamilySpec(tag="S", k=3, m=5, g=3))).decode()
