@@ -8,7 +8,6 @@ unicyclic hypergraphs up to isomorphism.
 
 from .hypergraph import (
     Hypergraph,
-    SimpleGraph,
     StructuralProfile,
     hypergraph_from_json,
     hypergraph_from_text,
@@ -16,7 +15,6 @@ from .hypergraph import (
     hypergraph_to_text,
     load_hypergraph,
     make_hypergraph,
-    make_simple_graph,
     power_base,
     power_hypergraph,
     save_hypergraph,
@@ -46,7 +44,6 @@ from .spectral import (
     SpectralResult,
     apply_adjacency,
     rayleigh,
-    spectral_radius_graph,
     spectral_radius_power_formula,
     spectral_radius_tensor,
 )
@@ -70,6 +67,7 @@ from .alpha_normal import (
 )
 from .transforms import EdgeMove, MoveResult, move_edges, relocate, yss_move
 from .enumeration import (
+    CapExceededError,
     InstanceCheck,
     RankEntry,
     VerificationReport,

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .families import family_o_with_roles, family_p_with_roles, family_q_with_roles
 from .hypergraph import Hypergraph, structural_profile, unique_cycle
+from .spectral import ConvergenceError
 
 __all__ = [
     "WeightedIncidence",
@@ -200,7 +201,7 @@ def _bisect_to_one(fn, lo: float, hi: float, tol: float) -> float:
             hi = mid
     root = 0.5 * (lo + hi)
     if abs(fn(root) - 1.0) > tol:
-        raise ArithmeticError(f"bisection landed at |f-1|={abs(fn(root)-1.0):.3e} > {tol}")
+        raise ConvergenceError(f"bisection landed at |f-1|={abs(fn(root)-1.0):.3e} > {tol}")
     return root
 
 

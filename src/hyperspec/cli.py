@@ -33,6 +33,7 @@ from .alpha_normal import (
 )
 from .canonical import canonical_form, canonical_id
 from .enumeration import (
+    CapExceededError,
     RankEntry,
     VerificationReport,
     enumerate_linear_unicyclic,
@@ -51,7 +52,6 @@ from .spectral import (
     ConvergenceError,
     IterationOptions,
     SpectralResult,
-    spectral_radius_graph,
     spectral_radius_tensor,
 )
 from .transforms import EdgeMove, move_edges, relocate, yss_move
@@ -192,7 +192,7 @@ def _cmd_rho(args) -> int:
         base = power_base(h)
         if base is None:
             raise ValueError("input is not the power of a simple graph")
-        gres = spectral_radius_graph(base, opts)
+        gres = spectral_radius_tensor(base, opts)
         res = SpectralResult(
             rho=gres.rho ** (2.0 / h.k),
             perron=None,
@@ -468,7 +468,7 @@ def run(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,6 +28,7 @@ from .spectral import (
 )
 
 __all__ = [
+    "CapExceededError",
     "enumerate_linear_unicyclic",
     "RankEntry",
     "rank_by_rho",
@@ -42,6 +43,10 @@ __all__ = [
 LARGE_POOL_THRESHOLD = 7  # enumeration beyond this edge count is opt-in
 CROSS_METHOD_TOL = 1e-8
 TIE_TOL = 1e-9
+
+
+class CapExceededError(RuntimeError):
+    """Raised when an enumeration level holds more classes than `cap`."""
 
 
 def _attach_pendant(h: Hypergraph, v: int) -> Hypergraph:
@@ -107,7 +112,7 @@ def enumerate_linear_unicyclic(
                     if (n, edges) not in nxt:
                         nxt[(n, edges)] = Hypergraph(k=k, n=n, edges=edges)
             if cap is not None and len(nxt) > cap:
-                raise RuntimeError(
+                raise CapExceededError(
                     f"class cap exceeded at m={j}: {len(nxt)} > {cap}"
                 )
             level = nxt
@@ -134,7 +139,9 @@ def rank_by_rho(
     """Sort by spectral radius, largest first.
 
     Consecutive values within TIE_TOL are treated as tied and ordered by
-    canonical id inside the tie group.
+    canonical id inside the tie group.  A tie group is a chain of
+    consecutive gaps <= TIE_TOL, so one group can span more than TIE_TOL
+    from its largest to its smallest value.
     """
     opts = opts or IterationOptions()
     rows = []
@@ -220,6 +227,7 @@ class VerificationReport:
 class _FamilyValue:
     label: str
     hypergraph: Hypergraph
+    form: str  # canonical form of hypergraph
     tensor: SpectralResult
     cross: float | None
     cross_kind: str | None
@@ -254,7 +262,10 @@ class _FamilyCache:
             cross = rho_from_alpha(solve_alpha_O(m - 4), k)
             kind = "alpha-normal"
         label = f"{tag}(m={m})" if g is None else f"{tag}(m={m},g={g})"
-        val = _FamilyValue(label=label, hypergraph=h, tensor=tensor, cross=cross, cross_kind=kind)
+        val = _FamilyValue(
+            label=label, hypergraph=h, form=canonical_form(h), tensor=tensor,
+            cross=cross, cross_kind=kind,
+        )
         self._vals[key] = val
         return val
 
@@ -410,11 +421,11 @@ def verify_suite(
                 continue
             vals = pool_values(m)
             top = cache.value("S", k, m, 3)
-            skip_forms = {canonical_form(top.hypergraph)}
+            skip_forms = {top.form}
             chain = [top]
             for tag in winners:
                 v = cache.value(tag, k, m)
-                skip_forms.add(canonical_form(v.hypergraph))
+                skip_forms.add(v.form)
                 chain.append(v)
             for above, below in zip(chain, chain[1:]):
                 gap = above.tensor.rho - below.tensor.rho
@@ -428,7 +439,7 @@ def verify_suite(
                 )
             target = chain[-1]
             for v in vals:
-                if canonical_form(v.hypergraph) in skip_forms:
+                if v.form in skip_forms:
                     continue
                 gap = target.tensor.rho - v.tensor.rho
                 instances.append(

@@ -1,6 +1,6 @@
 """Builders for the named unicyclic graph and hypergraph families.
 
-Simple-graph families (all later raised to k-th powers):
+Simple-graph families (k = 2 hypergraphs, all later raised to k-th powers):
 
 * cycle C_g and star K_{1,s};
 * S_{m,g}: cycle of length g with a star of m-g pendant edges at one vertex;
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hypergraph import Hypergraph, SimpleGraph, make_hypergraph, make_simple_graph, power_hypergraph
+from .hypergraph import Hypergraph, make_hypergraph, power_hypergraph
 
 __all__ = [
     "FAMILY_TAGS",
@@ -101,58 +101,58 @@ class CycleRoles:
     pendants_w: tuple[int, ...]
 
 
-def simple_cycle(g: int) -> SimpleGraph:
+def simple_cycle(g: int) -> Hypergraph:
     if g < 3:
         raise ValueError("cycle length must be >= 3")
-    return make_simple_graph(g, [(i, (i + 1) % g) for i in range(g)])
+    return make_hypergraph(2, [(i, (i + 1) % g) for i in range(g)])
 
 
-def simple_star(s: int) -> SimpleGraph:
+def simple_star(s: int) -> Hypergraph:
     if s < 1:
         raise ValueError("star needs at least one edge")
-    return make_simple_graph(s + 1, [(0, i) for i in range(1, s + 1)])
+    return make_hypergraph(2, [(0, i) for i in range(1, s + 1)])
 
 
-def simple_s(m: int, g: int) -> SimpleGraph:
+def simple_s(m: int, g: int) -> Hypergraph:
     """Cycle 0..g-1 with m-g pendant leaves at vertex 0."""
     if g < 3 or m < g:
         raise ValueError("S needs m >= g >= 3")
     edges = [(i, (i + 1) % g) for i in range(g)]
     edges += [(0, g + i) for i in range(m - g)]
-    return make_simple_graph(m, edges)
+    return make_hypergraph(2, edges)
 
 
-def simple_t1(m: int) -> SimpleGraph:
+def simple_t1(m: int) -> Hypergraph:
     """S_{m-1,3} (center 0) plus one pendant leaf at cycle vertex 1."""
     if m < 4:
         raise ValueError("T1 needs m >= 4")
     edges = [(0, 1), (0, 2), (1, 2)]
     edges += [(0, 3 + i) for i in range(m - 4)]
     edges += [(1, m - 1)]
-    return make_simple_graph(m, edges)
+    return make_hypergraph(2, edges)
 
 
-def simple_t2(m: int) -> SimpleGraph:
+def simple_t2(m: int) -> Hypergraph:
     """S_{m-2,3} (center 0) plus two pendant leaves at cycle vertex 1."""
     if m < 5:
         raise ValueError("T2 needs m >= 5")
     edges = [(0, 1), (0, 2), (1, 2)]
     edges += [(0, 3 + i) for i in range(m - 5)]
     edges += [(1, m - 2), (1, m - 1)]
-    return make_simple_graph(m, edges)
+    return make_hypergraph(2, edges)
 
 
-def simple_u1(m: int) -> SimpleGraph:
+def simple_u1(m: int) -> Hypergraph:
     """S_{m-1,3} (center 0) plus one pendant leaf at the star leaf 3."""
     if m < 5:
         raise ValueError("U1 needs m >= 5")
     edges = [(0, 1), (0, 2), (1, 2)]
     edges += [(0, 3 + i) for i in range(m - 4)]
     edges += [(3, m - 1)]
-    return make_simple_graph(m, edges)
+    return make_hypergraph(2, edges)
 
 
-def simple_family_graph(tag: str, m: int, g: int | None = None) -> SimpleGraph:
+def simple_family_graph(tag: str, m: int, g: int | None = None) -> Hypergraph:
     """Simple-graph counterpart of a power family."""
     if tag == "Hyperstar":
         return simple_star(m)

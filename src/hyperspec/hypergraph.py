@@ -1,5 +1,7 @@
 """k-uniform hypergraphs: validation, construction, structure analysis, file formats.
 
+A simple graph is the case k = 2; the power construction maps it to k >= 3.
+
 Vertices are dense integer ids 0..n-1.  Edges are stored as sorted k-tuples in
 lexicographic order, so two equal hypergraphs compare equal as values.  All
 operations here are pure functions; hypergraphs are immutable once built.
@@ -11,13 +13,12 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Iterable
 
 __all__ = [
-    "SimpleGraph",
     "Hypergraph",
     "StructuralProfile",
-    "make_simple_graph",
     "make_hypergraph",
     "power_hypergraph",
     "power_base",
@@ -30,62 +31,6 @@ __all__ = [
     "save_hypergraph",
     "load_hypergraph",
 ]
-
-
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Undirected simple graph on vertices 0..n-1 (no loops, no multi-edges)."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
-        seen = set()
-        for e in self.edges:
-            if len(e) != 2:
-                raise ValueError(f"edge {e} is not a pair")
-            a, b = e
-            if a == b:
-                raise ValueError(f"loop at vertex {a}")
-            if not (0 <= a < b < self.n):
-                raise ValueError(f"edge {e} not sorted or out of range")
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbr: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self.edges:
-            nbr[a].append(b)
-            nbr[b].append(a)
-        return tuple(tuple(sorted(x)) for x in nbr)
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(x) for x in self.adjacency)
-
-    @cached_property
-    def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = {0}
-        todo = deque([0])
-        while todo:
-            v = todo.popleft()
-            for w in self.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return len(seen) == self.n
-
-
-def make_simple_graph(n: int, edges: Iterable[Sequence[int]]) -> SimpleGraph:
-    """Normalize pairs (sorted within, sorted overall) and validate."""
-    norm = sorted(tuple(sorted(e)) for e in edges)
-    return SimpleGraph(n=n, edges=tuple(norm))
 
 
 @dataclass(frozen=True)
@@ -152,12 +97,14 @@ class Hypergraph:
 
     @cached_property
     def is_linear(self) -> bool:
-        """Every pair of distinct edges shares at most one vertex (O(m^2 k))."""
-        sets = [set(e) for e in self.edges]
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                if len(sets[i] & sets[j]) > 1:
+        """Every pair of distinct edges shares at most one vertex, i.e. no
+        vertex pair lies in two edges (O(m k^2))."""
+        seen: set[tuple[int, int]] = set()
+        for e in self.edges:
+            for pair in combinations(e, 2):
+                if pair in seen:
                     return False
+                seen.add(pair)
         return True
 
 
@@ -182,18 +129,17 @@ def make_hypergraph(k: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     return Hypergraph(k=k, n=len(ids), edges=tuple(norm))
 
 
-def power_hypergraph(graph: SimpleGraph, k: int) -> Hypergraph:
-    """Expand each 2-edge with k-2 fresh vertices.
+def power_hypergraph(graph: Hypergraph, k: int) -> Hypergraph:
+    """Expand each edge of a simple graph (a 2-uniform hypergraph) with k-2
+    fresh vertices.
 
     Fresh ids are appended after the original ids, one block per edge in
     sorted edge order, so the labeling is reproducible.
     """
     if k < 3:
         raise ValueError("power expansion needs k >= 3")
-    if not graph.edges:
-        raise ValueError("graph has no edges")
-    if any(d == 0 for d in graph.degrees):
-        raise ValueError("graph has isolated vertices")
+    if graph.k != 2:
+        raise ValueError("power expansion needs a simple graph (k = 2)")
     edges = []
     nxt = graph.n
     for a, b in graph.edges:
@@ -202,15 +148,15 @@ def power_hypergraph(graph: SimpleGraph, k: int) -> Hypergraph:
     return make_hypergraph(k, edges)
 
 
-def power_base(h: Hypergraph) -> SimpleGraph | None:
-    """Reconstruct the simple graph whose power equals h, or None.
+def power_base(h: Hypergraph) -> Hypergraph | None:
+    """Reconstruct the simple graph (k = 2) whose power equals h, or None.
 
     An edge of a power hypergraph contains at most two non-cored vertices;
     pendent edges contribute one endpoint chosen among their cored vertices
     (all such choices are interchangeable).
     """
     if h.k == 2:
-        return make_simple_graph(h.n, h.edges)
+        return h
     deg = h.degrees
     pairs = []
     endpoint_ids: set[int] = set()
@@ -228,7 +174,7 @@ def power_base(h: Hypergraph) -> SimpleGraph | None:
     if h.n - len(endpoint_ids) != (h.k - 2) * h.m:
         return None
     remap = {v: i for i, v in enumerate(sorted(endpoint_ids))}
-    return make_simple_graph(len(endpoint_ids), [(remap[a], remap[b]) for a, b in pairs])
+    return make_hypergraph(2, [(remap[a], remap[b]) for a, b in pairs])
 
 
 @dataclass(frozen=True)
@@ -387,9 +333,13 @@ def hypergraph_to_json(h: Hypergraph) -> str:
 
 def hypergraph_from_json(text: str) -> Hypergraph:
     obj = json.loads(text)
-    h = make_hypergraph(int(obj["k"]), obj["edges"])
-    if h.n != int(obj["n"]):
-        raise ValueError(f"vertex count {obj['n']} does not match edges (got {h.n})")
+    try:
+        h = make_hypergraph(int(obj["k"]), obj["edges"])
+        n = int(obj["n"])
+    except TypeError as exc:  # e.g. "edges": 5, or a JSON list at top level
+        raise ValueError(f"malformed hypergraph JSON: {exc}") from None
+    if h.n != n:
+        raise ValueError(f"vertex count {n} does not match edges (got {h.n})")
     return h
 
 

@@ -10,7 +10,8 @@ prod_{j in e, j != i} x_j.  The shifted iteration
 converges for every connected hypergraph (the shift makes the iteration
 primitive), and min_i z_i/x_i^{k-1} <= rho + shift <= max_i z_i/x_i^{k-1}
 gives a certified enclosure at every step; iteration stops when the
-enclosure is narrower than the requested tolerance.
+enclosure is narrower than the requested tolerance.  A simple graph is the
+case k = 2, where this is the shifted matrix power iteration.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergraph import Hypergraph, SimpleGraph
+from .hypergraph import Hypergraph
 
 __all__ = [
     "ConvergenceError",
@@ -28,13 +29,14 @@ __all__ = [
     "apply_adjacency",
     "rayleigh",
     "spectral_radius_tensor",
-    "spectral_radius_graph",
     "spectral_radius_power_formula",
 ]
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the enclosure fails to shrink within the iteration budget."""
+    """Raised when an iteration cannot reach its requested tolerance: the
+    enclosure fails to shrink within the budget, or a root bisection ends
+    farther from the root than the tolerance allows."""
 
 
 @dataclass(frozen=True)
@@ -78,18 +80,18 @@ class SpectralResult:
         return out
 
 
-def _edge_products_excluding(edge_idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """For each edge and each slot, the product of the other k-1 entries."""
-    big = x[edge_idx]
-    k = big.shape[1]
-    pre = np.cumprod(big, axis=1)
-    suf = np.cumprod(big[:, ::-1], axis=1)[:, ::-1]
+def _adjacency_product(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x^{k-1} for an (m, k) edge index array: per edge and slot the
+    product of the other k-1 entries, summed onto the slot's vertex."""
+    big = x[idx]
+    pre = big.cumprod(axis=1)
+    suf = big[:, ::-1].cumprod(axis=1)[:, ::-1]
     excl = np.empty_like(big)
     excl[:, 0] = suf[:, 1]
     excl[:, -1] = pre[:, -2]
-    if k > 2:
+    if idx.shape[1] > 2:
         excl[:, 1:-1] = pre[:, :-2] * suf[:, 2:]
-    return excl
+    return np.bincount(idx.ravel(), weights=excl.ravel(), minlength=x.shape[0])
 
 
 def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
@@ -99,9 +101,7 @@ def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
         raise ValueError(f"vector length {x.shape} does not match n={h.n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("vector entries must be finite")
-    idx = np.asarray(h.edges, dtype=np.intp)
-    excl = _edge_products_excluding(idx, x)
-    return np.bincount(idx.ravel(), weights=excl.ravel(), minlength=h.n)
+    return _adjacency_product(np.asarray(h.edges, dtype=np.intp), x)
 
 
 def rayleigh(h: Hypergraph, x) -> float:
@@ -128,7 +128,6 @@ def spectral_radius_tensor(
         raise ValueError("hypergraph is not connected")
     n, k = h.n, h.k
     idx = np.asarray(h.edges, dtype=np.intp)
-    flat = idx.ravel()
     if start is None:
         x = np.ones(n)
     else:
@@ -139,8 +138,7 @@ def spectral_radius_tensor(
     power = k - 1
     for it in range(1, opts.max_iterations + 1):
         xk = x ** power
-        excl = _edge_products_excluding(idx, x)
-        y = np.bincount(flat, weights=excl.ravel(), minlength=n)
+        y = _adjacency_product(idx, x)
         z = y + opts.shift * xk
         ratios = z / xk
         lo = float(ratios.min())
@@ -163,49 +161,15 @@ def spectral_radius_tensor(
     )
 
 
-def spectral_radius_graph(
-    g: SimpleGraph,
-    opts: IterationOptions | None = None,
-) -> SpectralResult:
-    """Largest adjacency eigenvalue of a connected simple graph, same
-    enclosure stop rule as the tensor iteration."""
-    opts = opts or IterationOptions()
-    if not g.is_connected:
-        raise ValueError("graph is not connected")
-    n = g.n
-    a = np.zeros((n, n))
-    for u, v in g.edges:
-        a[u, v] = a[v, u] = 1.0
-    x = np.ones(n)
-    for it in range(1, opts.max_iterations + 1):
-        y = a @ x
-        z = y + opts.shift * x
-        ratios = z / x
-        lo = float(ratios.min())
-        hi = float(ratios.max())
-        if hi - lo < opts.tolerance:
-            rho = 0.5 * (lo + hi) - opts.shift
-            residual = float(np.abs(y - rho * x).max())
-            return SpectralResult(
-                rho=rho,
-                perron=tuple(float(v) for v in x),
-                residual=residual,
-                iterations=it,
-                method="matrix-power",
-            )
-        x = z / z.max()
-    raise ConvergenceError(
-        f"matrix iteration did not reach tolerance {opts.tolerance} in "
-        f"{opts.max_iterations} iterations (enclosure width {hi - lo:.3e})"
-    )
-
-
 def spectral_radius_power_formula(
-    g: SimpleGraph,
+    g: Hypergraph,
     k: int,
     opts: IterationOptions | None = None,
 ) -> float:
-    """Spectral radius of the k-th power of g: rho(g) raised to 2/k."""
+    """Spectral radius of the k-th power of the simple graph g (k = 2):
+    rho(g) raised to 2/k."""
     if k < 3:
         raise ValueError("power shortcut needs k >= 3")
-    return spectral_radius_graph(g, opts).rho ** (2.0 / k)
+    if g.k != 2:
+        raise ValueError("power shortcut needs a simple graph (k = 2)")
+    return spectral_radius_tensor(g, opts).rho ** (2.0 / k)

@@ -63,6 +63,23 @@ def test_rho_alpha_rejects_non_unicyclic_input(tmp_path, capsys, text):
     assert "P and O" in err
 
 
+@pytest.mark.parametrize(
+    "argv,expected,message",
+    [
+        (("enumerate", "--k", "3", "--m", "5", "--cap", "2"), 2, "cap exceeded"),
+        (("rho", "{bad_json}"), 2, "malformed hypergraph JSON"),
+        (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "1e-30"), 3, "bisection"),
+    ],
+    ids=["enumerate-cap", "json-edges-not-a-list", "alpha-solve-unreachable-tol"],
+)
+def test_error_exit_codes(tmp_path, capsys, argv, expected, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"k": 3, "n": 3, "edges": 5}\n')
+    code, _, err = invoke(capsys, *(a.format(bad_json=bad) for a in argv))
+    assert code == expected
+    assert message in err
+
+
 def test_invalid_family_parameters_exit_2(capsys):
     code, _, err = invoke(capsys, "build", "--family", "P", "--k", "3", "--m", "4")
     assert code == 2

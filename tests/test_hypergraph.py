@@ -11,14 +11,12 @@ from hyperspec import (
     hypergraph_to_text,
     load_hypergraph,
     make_hypergraph,
-    make_simple_graph,
     power_base,
     power_hypergraph,
     save_hypergraph,
     simple_cycle,
     simple_s,
     simple_star,
-    spectral_radius_graph,
     spectral_radius_tensor,
     structural_profile,
     unique_cycle,
@@ -91,6 +89,11 @@ def test_power_requires_k_at_least_3():
         power_hypergraph(simple_cycle(3), 2)
 
 
+def test_power_requires_simple_base():
+    with pytest.raises(ValueError, match="k = 2"):
+        power_hypergraph(power_hypergraph(simple_cycle(3), 3), 4)
+
+
 def test_profile_cycle_power_4():
     h = family(FamilySpec(tag="CyclePower", k=3, m=4, g=4))
     prof = structural_profile(h)
@@ -111,6 +114,11 @@ def test_profile_single_edge():
 
 def test_profile_nonlinear_pair():
     prof = structural_profile(make_hypergraph(3, [{0, 1, 2}, {1, 2, 3}]))
+    assert not prof.linear
+    assert prof.classification == "other"
+    # the shared pair {3, 4} sits in the second and last edges of a cycle
+    prof = structural_profile(
+        make_hypergraph(3, [{0, 1, 2}, {2, 3, 4}, {4, 5, 0}, {3, 4, 6}]))
     assert not prof.linear
     assert prof.classification == "other"
 
@@ -205,7 +213,7 @@ def test_power_base_reconstructs_power_families():
         assert len(base.edges) == h.m
         # the round trip preserves the spectral radius
         rho_h = spectral_radius_tensor(h).rho
-        rho_b = spectral_radius_graph(base).rho ** (2.0 / h.k)
+        rho_b = spectral_radius_tensor(base).rho ** (2.0 / h.k)
         assert abs(rho_h - rho_b) < 1e-8
 
 
@@ -216,7 +224,7 @@ def test_power_base_rejects_non_powers():
 
 
 def test_simple_graph_validation():
-    with pytest.raises(ValueError, match="loop"):
-        make_simple_graph(3, [(0, 0)])
-    with pytest.raises(ValueError, match="duplicate"):
-        make_simple_graph(3, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="does not have 2 distinct vertices"):
+        make_hypergraph(2, [(0, 0)])
+    with pytest.raises(ValueError, match="duplicate edge"):
+        make_hypergraph(2, [(0, 1), (1, 0)])

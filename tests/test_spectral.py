@@ -1,4 +1,4 @@
-"""Tensor/matrix power iteration against independent oracles."""
+"""Tensor power iteration (k = 2 included) against independent oracles."""
 
 import math
 from itertools import permutations
@@ -13,7 +13,6 @@ from hyperspec import (
     apply_adjacency,
     family,
     make_hypergraph,
-    make_simple_graph,
     rayleigh,
     simple_cycle,
     simple_family_graph,
@@ -21,7 +20,6 @@ from hyperspec import (
     simple_star,
     simple_t2,
     simple_u1,
-    spectral_radius_graph,
     spectral_radius_power_formula,
     spectral_radius_tensor,
 )
@@ -140,8 +138,8 @@ def test_start_vector_scale_invariance():
 
 
 def test_graph_rho_cycle_and_star():
-    assert spectral_radius_graph(simple_cycle(3)).rho == pytest.approx(2.0, abs=1e-12)
-    assert spectral_radius_graph(simple_star(4)).rho == pytest.approx(2.0, abs=1e-12)
+    assert spectral_radius_tensor(simple_cycle(3)).rho == pytest.approx(2.0, abs=1e-12)
+    assert spectral_radius_tensor(simple_star(4)).rho == pytest.approx(2.0, abs=1e-12)
 
 
 def test_graph_rho_paw_against_determinant_bisection():
@@ -165,7 +163,7 @@ def test_graph_rho_paw_against_determinant_bisection():
             hi = mid
     oracle = 0.5 * (lo + hi)
     assert oracle == pytest.approx(RHO_PAW, abs=1e-12)
-    assert spectral_radius_graph(g).rho == pytest.approx(oracle, abs=1e-11)
+    assert spectral_radius_tensor(g).rho == pytest.approx(oracle, abs=1e-11)
 
 
 def test_power_formula_values():
@@ -195,6 +193,39 @@ def test_tensor_agrees_with_power_formula(k, tag, m, g):
     assert abs(via_tensor - via_formula) <= 1e-8
 
 
+def _simple_family_params(max_m):
+    for m in range(1, max_m + 1):
+        yield "Hyperstar", m, None
+        if m >= 3:
+            yield "CyclePower", m, m
+            yield from (("S", m, g) for g in range(3, m + 1))
+        if m >= 4:
+            yield "T1", m, None
+        if m >= 5:
+            yield from (("T2", m, None), ("U1", m, None))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_power_formula_matches_dense_eigvalsh(k):
+    """The power formula against numpy's symmetric eigensolver on the dense
+    adjacency matrix, a route that shares no code with the tensor kernel."""
+    for tag, m, g in _simple_family_params(12):
+        graph = simple_family_graph(tag, m, g)
+        a = np.zeros((graph.n, graph.n))
+        for u, v in graph.edges:
+            a[u, v] = a[v, u] = 1.0
+        oracle = np.linalg.eigvalsh(a)[-1] ** (2.0 / k)
+        via_formula = spectral_radius_power_formula(graph, k)
+        assert abs(via_formula - oracle) <= 1e-11, (tag, m, g)
+        if tag == "Hyperstar":
+            assert abs(via_formula - m ** (1.0 / k)) <= 1e-11, m
+
+
+def test_power_formula_rejects_non_simple_graph():
+    with pytest.raises(ValueError, match="k = 2"):
+        spectral_radius_power_formula(family(FamilySpec(tag="S", k=3, m=4, g=3)), 3)
+
+
 def test_rho_within_degree_bounds():
     for tag in ("P", "Q", "O", "U1"):
         h = family(FamilySpec(tag=tag, k=3, m=6))
@@ -212,9 +243,9 @@ def test_iteration_options_validation():
 
 
 def test_graph_disconnected_rejected():
-    g = make_simple_graph(4, [(0, 1), (2, 3)])
+    g = make_hypergraph(2, [(0, 1), (2, 3)])
     with pytest.raises(ValueError, match="connected"):
-        spectral_radius_graph(g)
+        spectral_radius_tensor(g)
 
 
 def test_rayleigh_dimension_mismatch():
