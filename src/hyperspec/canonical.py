@@ -5,12 +5,14 @@ nodes and edge nodes kept apart by color.  For the classes the library
 handles, hypertrees and hypergraphs whose incidence graph has exactly one
 cycle, an Aho-Hopcroft-Ullman tree code decides isomorphism:
 
-* leaves are stripped layer by layer; each stripped node gets the code of
-  the rooted tree it carries, numbered within its layer by sorting
-  (color, sorted child codes);
-* what survives is the center node of a hypertree or the unique cycle;
-  each survivor gets a branch code the same way, and the cycle is read in
-  the least order over all rotations and both directions;
+* the leaf layers come from the incidence-graph peel in `hypergraph.py`,
+  which also walks what survives: the center node of a hypertree or the
+  unique cycle;
+* each stripped node gets the code of the rooted tree it carries, numbered
+  within its layer by sorting (color, sorted child codes), and each
+  survivor gets a branch code the same way;
+* the cycle is read in the least order over all rotations and both
+  directions, each direction's least rotation found by Booth's algorithm;
 * the canonical relabeling numbers the vertex nodes in depth-first order
   from that core, visiting children in code order.
 
@@ -43,63 +45,57 @@ def canonicalize(h: Hypergraph) -> Hypergraph:
         raise ValueError(
             f"canonical code needs at most one cycle in the incidence graph, found {cycles}"
         )
-    # nodes 0..n-1 are vertices, n..n+m-1 are edges
+    layers, walk = h._peel
+    layers = layers + [walk]  # the survivors are numbered last
     adj = [[n + j for j in inc] for inc in h.incidence] + [list(e) for e in h.edges]
-    stripped = [False] * (n + m)
-    code: list[tuple[int, int]] = [(0, 0)] * (n + m)
-
-    def number(layer: list[int], depth: int) -> None:
+    # code[x] = (depth, index); the depth sits past every layer until numbered
+    code: list[tuple[int, int]] = [(len(layers), 0)] * (n + m)
+    for d, layer in enumerate(layers):
         keys = {
-            x: (x >= n, tuple(sorted(code[y] for y in adj[x] if stripped[y])))
+            x: (x >= n, tuple(sorted(code[y] for y in adj[x] if code[y][0] < d)))
             for x in layer
         }
         index = {key: i for i, key in enumerate(sorted(set(keys.values())))}
         for x in layer:
-            code[x] = (depth, index[keys[x]])
+            code[x] = (d, index[keys[x]])
 
-    deg = [len(a) for a in adj]
-    layer = [x for x in range(n + m) if deg[x] == 1]
-    alive, depth = n + m, 0
-    # A cycle never becomes a leaf.  A hypertree's leaves are all vertex
-    # nodes, so its incidence tree has even diameter and a single center.
-    while layer and alive > 1:
-        number(layer, depth)
-        for x in layer:
-            stripped[x] = True
-        nxt = []
-        for x in layer:
-            for y in adj[x]:
-                if not stripped[y]:
-                    deg[y] -= 1
-                    if deg[y] == 1:
-                        nxt.append(y)
-        alive -= len(layer)
-        layer, depth = nxt, depth + 1
-    core = [x for x in range(n + m) if not stripped[x]]
-    number(core, depth)
-
-    # walk the center or the cycle, then take its least reading
-    walk, on_walk = [core[0]], {core[0]}
-    while step := [y for y in adj[walk[-1]] if not stripped[y] and y not in on_walk]:
-        walk.append(step[0])
-        on_walk.add(step[0])
-    start = min(
-        (w[i:] + w[:i] for w in (walk, walk[::-1]) for i in range(len(w))),
-        key=lambda r: [code[x] for x in r],
-    )
+    readings = []
+    for w in (walk, walk[::-1]):
+        codes = [code[x] for x in w]
+        i = _least_rotation(codes)
+        readings.append((codes[i:] + codes[:i], w[i:] + w[:i]))
+    start = min(readings, key=lambda r: r[0])[1]
 
     order = []
-    seen = set(start)
     stack = start[::-1]
     while stack:
         x = stack.pop()
         order.append(x)
-        kids = sorted((y for y in adj[x] if y not in seen), key=code.__getitem__)
-        seen.update(kids)
+        kids = sorted((y for y in adj[x] if code[y][0] < code[x][0]), key=code.__getitem__)
         stack.extend(reversed(kids))
     label = {x: i for i, x in enumerate(x for x in order if x < n)}
     edges = sorted(tuple(sorted(label[v] for v in e)) for e in h.edges)
     return Hypergraph(k=h.k, n=n, edges=tuple(edges))
+
+
+def _least_rotation(s: list) -> int:
+    """Start of the least rotation of s, in linear time (Booth 1980)."""
+    s = s + s
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c, i = s[j], fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != s[k + i + 1]:  # i == -1 here
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 def canonical_form(h: Hypergraph) -> bytes:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .alpha_normal import rho_from_alpha, solve_alpha_O, solve_alpha_P
 from .canonical import canonical_form, canonical_id, canonicalize, encode_canonical
-from .families import FamilySpec, family, simple_family_graph
-from .hypergraph import Hypergraph, make_hypergraph
+from .families import FamilySpec, _attach_pendants, family, simple_family_graph
+from .hypergraph import Hypergraph
 from .spectral import (
     IterationOptions,
     SpectralResult,
@@ -49,17 +49,12 @@ class CapExceededError(RuntimeError):
     """Raised when an enumeration level holds more classes than `cap`."""
 
 
-def _attach_pendant(h: Hypergraph, v: int) -> Hypergraph:
-    edge = tuple(sorted((v, *range(h.n, h.n + h.k - 1))))
-    return make_hypergraph(h.k, list(h.edges) + [edge])
-
-
 def _expand_entry(args: tuple[int, tuple[tuple[int, ...], ...]]) -> list[tuple]:
     """Canonical edge lists of every one-pendant extension of one class."""
     k, edges = args
     n = 1 + max(v for e in edges for v in e)
     h = Hypergraph(k=k, n=n, edges=edges)
-    return [canonicalize(_attach_pendant(h, v)).edges for v in range(h.n)]
+    return [canonicalize(_attach_pendants(h, [v])).edges for v in range(h.n)]
 
 
 def enumerate_linear_unicyclic(

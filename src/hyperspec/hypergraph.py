@@ -107,6 +107,46 @@ class Hypergraph:
                 seen.add(pair)
         return True
 
+    @cached_property
+    def _peel(self) -> tuple[list[list[int]], list[int]]:
+        """Leaf layers of the incidence graph and the walk around what survives.
+
+        Nodes 0..n-1 are the vertices and n+j is edge j.  Leaves are stripped
+        layer by layer.  A hypertree keeps its single center node (its leaves
+        are all vertex nodes, so the incidence tree has even diameter); a
+        connected input with one cycle keeps that cycle, which never becomes
+        a leaf.  The walk starts at the least surviving node and steps to the
+        least unvisited survivor, so a cycle is walked from its least vertex
+        out through that vertex's smaller-index cycle edge.  Meaningful only
+        for connected inputs of cycle rank <= 1.
+        """
+        n = self.n
+        adj = [[n + j for j in inc] for inc in self.incidence] + [list(e) for e in self.edges]
+        deg = [len(a) for a in adj]
+        stripped = [False] * len(adj)
+        layers = []
+        layer = [x for x, d in enumerate(deg) if d == 1]
+        alive = len(adj)
+        while layer and alive > 1:
+            layers.append(layer)
+            for x in layer:
+                stripped[x] = True
+            nxt = []
+            for x in layer:
+                for y in adj[x]:
+                    if not stripped[y]:
+                        deg[y] -= 1
+                        if deg[y] == 1:
+                            nxt.append(y)
+            alive -= len(layer)
+            layer = nxt
+        walk = [stripped.index(False)]
+        on_walk = set(walk)
+        while step := [y for y in adj[walk[-1]] if not stripped[y] and y not in on_walk]:
+            walk.append(step[0])
+            on_walk.add(step[0])
+        return layers, walk
+
 
 def make_hypergraph(k: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     """Build a normalized hypergraph from raw edges.
@@ -201,73 +241,14 @@ class StructuralProfile:
         }
 
 
-def _two_core(h: Hypergraph) -> tuple[set[int], set[int]]:
-    """Iteratively strip degree-1 vertices and near-empty edges from the
-    incidence graph; what survives is the union of cycles."""
-    vdeg = list(h.degrees)
-    esize = [h.k] * h.m
-    alive_v = set(range(h.n))
-    alive_e = set(range(h.m))
-    members: list[set[int]] = [set(e) for e in h.edges]
-    todo = deque(v for v in alive_v if vdeg[v] <= 1)
-    while todo:
-        v = todo.popleft()
-        if v not in alive_v:
-            continue
-        alive_v.discard(v)
-        for j in h.incidence[v]:
-            if j not in alive_e:
-                continue
-            members[j].discard(v)
-            esize[j] -= 1
-            if esize[j] <= 1:
-                alive_e.discard(j)
-                for w in members[j]:
-                    vdeg[w] -= 1
-                    if vdeg[w] <= 1:
-                        todo.append(w)
-    # restrict vertex degrees to surviving edges
-    core_v = set()
-    for v in alive_v:
-        if sum(1 for j in h.incidence[v] if j in alive_e) >= 2:
-            core_v.add(v)
-    return core_v, alive_e
-
-
-def _core_is_single_cycle(h: Hypergraph, core_v: set[int], core_e: set[int]) -> bool:
-    if not core_e:
-        return False
-    for v in core_v:
-        if sum(1 for j in h.incidence[v] if j in core_e) != 2:
-            return False
-    for j in core_e:
-        if sum(1 for v in h.edges[j] if v in core_v) != 2:
-            return False
-    # single component: walk from an arbitrary core vertex
-    start = min(core_v)
-    seen_e: set[int] = set()
-    v = start
-    prev_e = -1
-    while True:
-        nxt = [j for j in h.incidence[v] if j in core_e and j != prev_e and j not in seen_e]
-        if not nxt:
-            break
-        j = nxt[0]
-        seen_e.add(j)
-        v = next(w for w in h.edges[j] if w in core_v and w != v)
-        prev_e = j
-        if v == start:
-            break
-    return len(seen_e) == len(core_e)
-
-
 def structural_profile(h: Hypergraph) -> StructuralProfile:
     """Classify a hypergraph and report its pendant/cycle structure.
 
-    Classification is decided by cycle search on the incidence graph and
-    cross-checked against the edge-count identities m=(n-1)/(k-1) for
-    hypertrees and m=n/(k-1) for unicyclic hypergraphs; any disagreement
-    (only possible for nonlinear or multi-cycle inputs) lands in "other".
+    A connected input is classified by the cycle rank m(k-1) - n + 1 of its
+    incidence graph: rank 0 is a hypertree, rank 1 together with linearity
+    is a linear unicyclic hypergraph, whose girth is half the length of the
+    incidence cycle.  Everything else, disconnected inputs included, is
+    "other".
     """
     deg = h.degrees
     cored = tuple(v for v in range(h.n) if deg[v] == 1)
@@ -277,17 +258,15 @@ def structural_profile(h: Hypergraph) -> StructuralProfile:
     )
     linear = h.is_linear
     connected = h.is_connected
-    core_v, core_e = _two_core(h)
+    rank = h.m * (h.k - 1) - h.n + 1
 
     classification = "other"
     girth = None
-    if connected and not core_e:
-        if h.m * (h.k - 1) == h.n - 1:
-            classification = "hypertree"
-    elif connected and linear and _core_is_single_cycle(h, core_v, core_e):
-        if h.m * (h.k - 1) == h.n:
-            classification = "unicyclic"
-            girth = len(core_e)
+    if connected and rank == 0:
+        classification = "hypertree"
+    elif connected and rank == 1 and linear:
+        classification = "unicyclic"
+        girth = len(h._peel[1]) // 2
     return StructuralProfile(
         degrees=deg,
         cored_vertices=cored,
@@ -306,23 +285,10 @@ def unique_cycle(h: Hypergraph) -> tuple[list[int], list[int]]:
     e_l closes back to v0.  Orientation is fixed deterministically: start at
     the smallest cycle vertex and leave through its smallest-index cycle edge.
     """
-    profile = structural_profile(h)
-    if profile.classification != "unicyclic":
+    if structural_profile(h).classification != "unicyclic":
         raise ValueError("hypergraph is not linear unicyclic")
-    core_v, core_e = _two_core(h)
-    v0 = min(core_v)
-    first = min(j for j in h.incidence[v0] if j in core_e)
-    verts = [v0]
-    eidx = []
-    v, j = v0, first
-    while True:
-        eidx.append(j)
-        v = next(w for w in h.edges[j] if w in core_v and w != v)
-        if v == v0:
-            break
-        verts.append(v)
-        j = next(i for i in h.incidence[v] if i in core_e and i != j)
-    return verts, eidx
+    walk = h._peel[1]
+    return walk[0::2], [x - h.n for x in walk[1::2]]
 
 
 # --- file formats -----------------------------------------------------------

@@ -16,6 +16,7 @@ from hyperspec import (
     power_hypergraph,
     simple_s,
 )
+from hyperspec.canonical import _least_rotation
 
 HYPERPATH = make_hypergraph(3, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8)])
 
@@ -97,6 +98,30 @@ def test_relabelings_of_large_star_power_agree():
         perm = list(range(h.n))
         rng.shuffle(perm)
         assert canonical_form(relabel(h, perm)) == base
+
+
+def test_relabelings_of_long_cycle_agree():
+    cyc = family(FamilySpec(tag="CyclePower", k=3, m=2000, g=2000))
+    hubs = [v for v in range(cyc.n) if cyc.degrees[v] == 2]
+    # pendants at uneven spots, so a single rotation and direction reads least
+    anchors = [hubs[0], hubs[1], hubs[3], hubs[700], hubs[1500]]
+    h = make_hypergraph(3, list(cyc.edges) + [
+        (v, cyc.n + 2 * i, cyc.n + 2 * i + 1) for i, v in enumerate(anchors)
+    ])
+    base = canonical_form(h)
+    rng = random.Random(13)
+    for _ in range(3):
+        perm = list(range(h.n))
+        rng.shuffle(perm)
+        assert canonical_form(relabel(h, perm)) == base
+
+
+def test_least_rotation_matches_brute_force():
+    rng = random.Random(5)
+    for _ in range(3000):
+        s = [rng.randint(0, 2) for _ in range(rng.randint(1, 10))]
+        i = _least_rotation(s)
+        assert s[i:] + s[:i] == min(s[j:] + s[:j] for j in range(len(s)))
 
 
 @pytest.mark.parametrize(

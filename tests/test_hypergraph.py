@@ -1,5 +1,8 @@
 """Construction, validation, structure analysis, and file formats."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from hyperspec import (
@@ -170,6 +173,63 @@ def test_unique_cycle_of_triangle_power():
 def test_unique_cycle_rejects_hypertree():
     with pytest.raises(ValueError, match="unicyclic"):
         unique_cycle(make_hypergraph(3, [{0, 1, 2}]))
+
+
+def _random_input(rng):
+    """A random hypertree, then closing edges that may add cycles or break
+    linearity, then maybe a disjoint edge; None on a duplicate edge."""
+    k = rng.randint(2, 4)
+    edges = [tuple(range(k))]
+    n = k
+    for _ in range(rng.randint(0, 8)):
+        edges.append((rng.randrange(n), *range(n, n + k - 1)))
+        n += k - 1
+    for _ in range(rng.choice((0, 1, 1, 1, 2))):
+        c = rng.randint(2, k)
+        edges.append((*rng.sample(range(n), c), *range(n, n + k - c)))
+        n += k - c
+    if rng.random() < 0.2:
+        edges.append(tuple(range(n, n + k)))
+    if len({frozenset(e) for e in edges}) < len(edges):
+        return None
+    return make_hypergraph(k, edges)
+
+
+def test_profile_and_cycle_against_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(1500):
+        h = _random_input(rng)
+        if h is None:
+            continue
+        g = nx.Graph()
+        g.add_edges_from((("v", v), ("e", j)) for j, e in enumerate(h.edges) for v in e)
+        connected = nx.is_connected(g)
+        cycles = nx.cycle_basis(g)
+        linear = all(len(set(a) & set(b)) <= 1 for a, b in combinations(h.edges, 2))
+        expected = "other"
+        if connected and not cycles:
+            expected = "hypertree"
+        elif connected and len(cycles) == 1 and linear:
+            expected = "unicyclic"
+        prof = structural_profile(h)
+        assert (prof.connected, prof.linear, prof.classification) == (connected, linear, expected)
+        seen.add((h.k, expected, connected, linear))
+        if expected != "unicyclic":
+            assert prof.girth is None
+            with pytest.raises(ValueError):
+                unique_cycle(h)
+            continue
+        assert prof.girth == len(cycles[0]) // 2
+        verts, eidx = unique_cycle(h)
+        walk = [x for pair in zip(verts, eidx) for x in (("v", pair[0]), ("e", pair[1]))]
+        assert len(walk) == 2 * prof.girth and set(walk) == set(cycles[0])
+        assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:] + walk[:1]))
+        assert verts[0] == min(verts) and eidx[0] < eidx[-1]
+    for k in (2, 3, 4):
+        assert {(k, c, True, True) for c in ("hypertree", "unicyclic", "other")} <= seen
+    assert any(not lin for *_, lin in seen) and any(not con for _, _, con, _ in seen)
 
 
 def test_json_round_trip():
