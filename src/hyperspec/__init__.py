@@ -44,6 +44,7 @@ from .spectral import (
     SpectralResult,
     apply_adjacency,
     rayleigh,
+    spectral_radii_tensor,
     spectral_radius_power_formula,
     spectral_radius_tensor,
 )

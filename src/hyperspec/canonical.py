@@ -75,7 +75,7 @@ def canonicalize(h: Hypergraph) -> Hypergraph:
         stack.extend(reversed(kids))
     label = {x: i for i, x in enumerate(x for x in order if x < n)}
     edges = sorted(tuple(sorted(label[v] for v in e)) for e in h.edges)
-    return Hypergraph(k=h.k, n=n, edges=tuple(edges))
+    return Hypergraph(k=h.k, n=n, edges=tuple(edges), _canonical=True)
 
 
 def _least_rotation(s: list) -> int:
@@ -99,8 +99,9 @@ def _least_rotation(s: list) -> int:
 
 
 def canonical_form(h: Hypergraph) -> bytes:
-    """Canonical byte string; equal iff hypergraphs are isomorphic."""
-    return encode_canonical(canonicalize(h))
+    """Canonical byte string; equal iff hypergraphs are isomorphic.  A
+    representative marked canonical is encoded without a second tree code."""
+    return encode_canonical(h if h._canonical else canonicalize(h))
 
 
 def encode_canonical(c: Hypergraph) -> bytes:

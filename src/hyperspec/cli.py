@@ -52,6 +52,7 @@ from .spectral import (
     ConvergenceError,
     IterationOptions,
     SpectralResult,
+    spectral_radii_tensor,
     spectral_radius_tensor,
 )
 from .transforms import EdgeMove, move_edges, relocate, yss_move
@@ -279,12 +280,13 @@ def _cmd_enumerate(args) -> int:
     pool = enumerate_linear_unicyclic(
         args.k, args.m, jobs=_jobs_from(args), allow_large=args.allow_large, cap=args.cap
     )
+    results = spectral_radii_tensor(pool, opts) if args.with_rho else None
     lines = []
-    for h in pool:
+    for i, h in enumerate(pool):
         row = {"canonical_id": canonical_id(h), "k": h.k, "n": h.n,
                "edges": [list(e) for e in h.edges]}
-        if args.with_rho:
-            row["rho"] = spectral_radius_tensor(h, opts).rho
+        if results is not None:
+            row["rho"] = results[i].rho
         lines.append(_render_json(row))
     _emit("\n".join(lines) + "\n", args.output)
     return 0

@@ -23,6 +23,7 @@ from .hypergraph import Hypergraph
 from .spectral import (
     IterationOptions,
     SpectralResult,
+    spectral_radii_tensor,
     spectral_radius_power_formula,
     spectral_radius_tensor,
 )
@@ -105,7 +106,7 @@ def enumerate_linear_unicyclic(
                 for edges in batch:
                     n = 1 + max(v for e in edges for v in e)
                     if (n, edges) not in nxt:
-                        nxt[(n, edges)] = Hypergraph(k=k, n=n, edges=edges)
+                        nxt[(n, edges)] = Hypergraph(k=k, n=n, edges=edges, _canonical=True)
             if cap is not None and len(nxt) > cap:
                 raise CapExceededError(
                     f"class cap exceeded at m={j}: {len(nxt)} > {cap}"
@@ -138,11 +139,8 @@ def rank_by_rho(
     consecutive gaps <= TIE_TOL, so one group can span more than TIE_TOL
     from its largest to its smallest value.
     """
-    opts = opts or IterationOptions()
-    rows = []
-    for h in instances:
-        res = spectral_radius_tensor(h, opts)
-        rows.append((res.rho, canonical_id(h), h, res))
+    results = spectral_radii_tensor(instances, opts)
+    rows = [(res.rho, canonical_id(h), h, res) for h, res in zip(instances, results)]
     rows.sort(key=lambda r: -r[0])
     groups: list[list[tuple]] = []
     for row in rows:

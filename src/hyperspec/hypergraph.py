@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable
@@ -39,12 +39,16 @@ class Hypergraph:
 
     Invariants enforced at construction: every edge has exactly k distinct
     vertices, no duplicate edges, every vertex id in 0..n-1 occurs in at
-    least one edge, edges sorted lexicographically.
+    least one edge, edges sorted lexicographically.  `_canonical` marks a
+    representative that canonicalize() built, or one built from its edge
+    list, so canonical_form() need not run the tree code on it again; it
+    takes no part in equality.
     """
 
     k: int
     n: int
     edges: tuple[tuple[int, ...], ...]
+    _canonical: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 2:

@@ -12,11 +12,26 @@ primitive), and min_i z_i/x_i^{k-1} <= rho + shift <= max_i z_i/x_i^{k-1}
 gives a certified enclosure at every step; iteration stops when the
 enclosure is narrower than the requested tolerance.  A simple graph is the
 case k = 2, where this is the shifted matrix power iteration.
+
+The iteration runs on a batch: B hypergraphs of one shape (k, n, m) share
+one flat vector, graph b's vertex v at entry b*n + v, so one bincount
+applies every adjacency tensor at once.  Each edge is padded at both ends
+with an extra entry that holds 1.0, so the product of the other k-1
+entries at a slot is the prefix product before it times the suffix product
+after it, with no special case at the ends and few array operations per
+sweep, which is what a sweep on a small graph costs.  Each graph keeps its
+own enclosure, the min and max of its own quotients z_i/x_i^{k-1}, and
+retires when that enclosure is narrower than the tolerance; the batch is
+then compacted.  Every operation on a graph's entries is the one a
+one-graph loop would do, in the same order, so a result does not depend on
+the batch it ran in.  spectral_radii_tensor batches a list by shape, and
+spectral_radius_tensor is the batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +44,7 @@ __all__ = [
     "apply_adjacency",
     "rayleigh",
     "spectral_radius_tensor",
+    "spectral_radii_tensor",
     "spectral_radius_power_formula",
 ]
 
@@ -80,18 +96,30 @@ class SpectralResult:
         return out
 
 
-def _adjacency_product(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x^{k-1} for an (m, k) edge index array: per edge and slot the
-    product of the other k-1 entries, summed onto the slot's vertex."""
-    big = x[idx]
-    pre = big.cumprod(axis=1)
-    suf = big[:, ::-1].cumprod(axis=1)[:, ::-1]
-    excl = np.empty_like(big)
-    excl[:, 0] = suf[:, 1]
-    excl[:, -1] = pre[:, -2]
-    if idx.shape[1] > 2:
-        excl[:, 1:-1] = pre[:, :-2] * suf[:, 2:]
-    return np.bincount(idx.ravel(), weights=excl.ravel(), minlength=x.shape[0])
+def _pad_edges(edge_lists, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat edge arrays for a (B, m, k) batch of edge lists on n vertices.
+
+    Graph b's vertex v is entry b*n + v of a flat vector whose extra last
+    entry, B*n, holds 1.0.  Returns the (B*m, k+2) edges with that entry
+    padded on at both ends, and the raveled (B*m*k,) vertex entries.
+    """
+    idx = np.asarray(edge_lists, dtype=np.intp)
+    b, m, k = idx.shape
+    pad = np.full((b * m, k + 2), b * n, dtype=np.intp)
+    pad[:, 1:-1] = (idx + (np.arange(b) * n)[:, None, None]).reshape(b * m, k)
+    return pad, pad[:, 1:-1].ravel()
+
+
+def _adjacency_product(pad: np.ndarray, slots: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """A x^{k-1} on _pad_edges arrays, with xp the flat vector plus its 1.0:
+    per edge and slot the product of the other k-1 entries, as the prefix
+    product before the slot times the suffix product after it, summed onto
+    the slot's vertex."""
+    k = pad.shape[1] - 2
+    big = xp[pad]  # 1, x_0, ..., x_{k-1}, 1 per edge
+    excl = big[:, :k].cumprod(axis=1)
+    excl *= big[:, :1:-1].cumprod(axis=1)[:, ::-1]
+    return np.bincount(slots, weights=excl.ravel(), minlength=xp.shape[0] - 1)
 
 
 def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
@@ -101,7 +129,7 @@ def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
         raise ValueError(f"vector length {x.shape} does not match n={h.n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("vector entries must be finite")
-    return _adjacency_product(np.asarray(h.edges, dtype=np.intp), x)
+    return _adjacency_product(*_pad_edges([h.edges], h.n), np.append(x, 1.0))
 
 
 def rayleigh(h: Hypergraph, x) -> float:
@@ -126,38 +154,94 @@ def spectral_radius_tensor(
     opts = opts or IterationOptions()
     if not h.is_connected:
         raise ValueError("hypergraph is not connected")
-    n, k = h.n, h.k
-    idx = np.asarray(h.edges, dtype=np.intp)
-    if start is None:
-        x = np.ones(n)
-    else:
-        x = np.asarray(start, dtype=float)
-        if x.shape != (n,) or not np.all(x > 0):
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (h.n,) or not np.all(start > 0):
             raise ValueError("start vector must be positive of length n")
-        x = x / x.max()
-    power = k - 1
+        start = start / start.max()
+    return _iterate([h], opts, [0], start)[0]
+
+
+def spectral_radii_tensor(
+    hs: Sequence[Hypergraph],
+    opts: IterationOptions | None = None,
+) -> list[SpectralResult]:
+    """spectral_radius_tensor(h, opts) for every h in hs, in input order.
+
+    Inputs of one shape (k, n, m) iterate together as one batch, each from
+    the all-ones start, and every result equals the one-graph call exactly.
+    """
+    opts = opts or IterationOptions()
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, h in enumerate(hs):
+        if not h.is_connected:
+            raise ValueError(f"hypergraph {i} is not connected")
+        groups.setdefault((h.k, h.n, h.m), []).append(i)
+    out: dict[int, SpectralResult] = {}
+    for members in groups.values():
+        out.update(zip(members, _iterate([hs[i] for i in members], opts, members)))
+    return [out[i] for i in range(len(hs))]
+
+
+def _iterate(
+    hs: Sequence[Hypergraph],
+    opts: IterationOptions,
+    labels: Sequence[int],
+    start: np.ndarray | None = None,
+) -> list[SpectralResult]:
+    """The shifted iteration on a batch of hypergraphs of one shape, from
+    the all-ones vector or from `start` (n entries, maximum 1); labels name
+    the inputs in a ConvergenceError.
+
+    The iterate lives in the padded vector of _pad_edges, so one bincount
+    applies every adjacency tensor at once.  A graph retires when its own
+    enclosure is narrower than the tolerance, and the batch is then
+    compacted, so a converged graph costs nothing.
+    """
+    n, power = hs[0].n, hs[0].k - 1
+    out: dict[int, SpectralResult] = {}
+    rows = list(range(len(hs)))  # batch row -> index into hs
+    pad, slots = _pad_edges([h.edges for h in hs], n)
+    xp = np.ones(len(hs) * n + 1)
+    xv = xp[:-1].reshape(len(hs), n)  # the iterate, one row per graph
+    if start is not None:
+        xv[:] = start
     for it in range(1, opts.max_iterations + 1):
-        xk = x ** power
-        y = _adjacency_product(idx, x)
+        xk = xv ** power
+        y = _adjacency_product(pad, slots, xp).reshape(xv.shape)
         z = y + opts.shift * xk
         ratios = z / xk
-        lo = float(ratios.min())
-        hi = float(ratios.max())
-        if hi - lo < opts.tolerance:
-            rho = 0.5 * (lo + hi) - opts.shift
-            residual = float(np.abs(y - rho * xk).max())
-            return SpectralResult(
-                rho=rho,
-                perron=tuple(float(v) for v in x),
-                residual=residual,
-                iterations=it,
-                method="tensor-power",
-            )
+        lo = ratios.min(axis=1).tolist()
+        hi = ratios.max(axis=1).tolist()
+        done = [b for b in range(len(rows)) if hi[b] - lo[b] < opts.tolerance]
+        if done:
+            for b in done:
+                rho = 0.5 * (lo[b] + hi[b]) - opts.shift
+                out[rows[b]] = SpectralResult(
+                    rho=rho,
+                    perron=tuple(float(v) for v in xv[b]),
+                    residual=float(np.abs(y[b] - rho * xk[b]).max()),
+                    iterations=it,
+                    method="tensor-power",
+                )
+            if len(done) == len(rows):
+                return [out[r] for r in range(len(hs))]
+            keep = [b for b in range(len(rows)) if not hi[b] - lo[b] < opts.tolerance]
+            # the kept graphs' edges, shifted back to vertices 0..n-1
+            edges = pad.reshape(len(rows), -1, pad.shape[1])[keep, :, 1:-1]
+            pad, slots = _pad_edges(edges - (np.array(keep) * n)[:, None, None], n)
+            rows = [rows[b] for b in keep]
+            lo = [lo[b] for b in keep]
+            hi = [hi[b] for b in keep]
+            z = z[keep]
+            xp = np.ones(z.size + 1)
+            xv = xp[:-1].reshape(z.shape)
         x = z ** (1.0 / power)
-        x /= x.max()
+        np.divide(x, x.max(axis=1, keepdims=True), out=xv)
     raise ConvergenceError(
         f"tensor iteration did not reach tolerance {opts.tolerance} in "
-        f"{opts.max_iterations} iterations (enclosure width {hi - lo:.3e})"
+        f"{opts.max_iterations} iterations for input {labels[rows[0]]} "
+        f"(enclosure width {hi[0] - lo[0]:.3e})"
     )
 
 

@@ -49,6 +49,7 @@ def test_canonicalize_is_idempotent():
         c = canonicalize(h)
         assert canonicalize(c) == c
         assert canonical_form(c) == canonical_form(h)
+        assert c._canonical
 
 
 def test_canonical_rep_preserves_shape():

@@ -69,8 +69,10 @@ def test_rho_alpha_rejects_non_unicyclic_input(tmp_path, capsys, text):
         (("enumerate", "--k", "3", "--m", "5", "--cap", "2"), 2, "cap exceeded"),
         (("rho", "{bad_json}"), 2, "malformed hypergraph JSON"),
         (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "1e-30"), 3, "bisection"),
+        (("rank", "--k", "3", "--m", "5", "--max-iter", "3"), 3, "did not reach"),
     ],
-    ids=["enumerate-cap", "json-edges-not-a-list", "alpha-solve-unreachable-tol"],
+    ids=["enumerate-cap", "json-edges-not-a-list", "alpha-solve-unreachable-tol",
+         "rank-max-iter"],
 )
 def test_error_exit_codes(tmp_path, capsys, argv, expected, message):
     bad = tmp_path / "bad.json"

@@ -1,12 +1,15 @@
 """Enumeration completeness, determinism, ranking, and the inequality suite."""
 
+import random
+
 import pytest
-from helpers import brute_isomorphic
+from helpers import brute_isomorphic, relabel
 
 from hyperspec import (
     FamilySpec,
     IterationOptions,
     canonical_form,
+    canonicalize,
     enumerate_linear_unicyclic,
     family,
     make_hypergraph,
@@ -86,6 +89,15 @@ def test_pool_instances_are_linear_unicyclic(pool_by_m):
         assert forms == sorted(forms)
 
 
+def test_pool_members_are_marked_canonical(pool_by_m):
+    """canonical_form encodes a marked member without a second tree code,
+    so the mark must hold: the tree code leaves every member unchanged."""
+    for pool in pool_by_m.values():
+        for h in pool:
+            assert h._canonical
+            assert canonicalize(h).edges == h.edges
+
+
 def test_enumeration_domain_errors():
     with pytest.raises(ValueError, match="fewer than 3"):
         enumerate_linear_unicyclic(3, 2)
@@ -129,6 +141,17 @@ def test_rank_top_two_at_m5(pool_by_m):
     assert entries[0].rho - entries[1].rho > 1e-6
     assert entries[1].rho - entries[2].rho > 1e-6
     assert not entries[0].tied
+
+
+def test_rank_canonicalizes_arbitrary_inputs(pool_by_m):
+    rng = random.Random(5)
+    relabeled = []
+    for h in pool_by_m[5]:
+        perm = list(range(h.n))
+        rng.shuffle(perm)
+        relabeled.append(relabel(h, perm))
+    ids = sorted(e.canonical_id for e in rank_by_rho(relabeled))
+    assert ids == sorted(canonical_form(h).decode() for h in pool_by_m[5])
 
 
 def test_rank_marks_exact_ties():

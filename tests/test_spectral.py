@@ -1,6 +1,7 @@
 """Tensor power iteration (k = 2 included) against independent oracles."""
 
 import math
+import re
 from itertools import permutations
 
 import numpy as np
@@ -10,7 +11,9 @@ from hyperspec import (
     ConvergenceError,
     FamilySpec,
     IterationOptions,
+    SpectralResult,
     apply_adjacency,
+    enumerate_linear_unicyclic,
     family,
     make_hypergraph,
     rayleigh,
@@ -20,6 +23,7 @@ from hyperspec import (
     simple_star,
     simple_t2,
     simple_u1,
+    spectral_radii_tensor,
     spectral_radius_power_formula,
     spectral_radius_tensor,
 )
@@ -252,3 +256,107 @@ def test_rayleigh_dimension_mismatch():
     h = make_hypergraph(3, [{0, 1, 2}])
     with pytest.raises(ValueError, match="length"):
         rayleigh(h, np.ones(5))
+
+
+def reference_product(h, x):
+    """A x^{k-1} by prefix and suffix products per edge, with the end slots
+    filled separately instead of through the kernel's padding; the products
+    and their order are the kernel's."""
+    idx = np.asarray(h.edges, dtype=np.intp)
+    big = x[idx]
+    pre = big.cumprod(axis=1)
+    suf = big[:, ::-1].cumprod(axis=1)[:, ::-1]
+    excl = np.empty_like(big)
+    excl[:, 0] = suf[:, 1]
+    excl[:, -1] = pre[:, -2]
+    if h.k > 2:
+        excl[:, 1:-1] = pre[:, :-2] * suf[:, 2:]
+    return np.bincount(idx.ravel(), weights=excl.ravel(), minlength=h.n)
+
+
+def serial_reference(h, opts=IterationOptions()):
+    """The one-graph iteration loop, kept as the reference that the batched
+    kernel must match exactly: the same operations on one graph at a time."""
+    x = np.ones(h.n)
+    power = h.k - 1
+    for it in range(1, opts.max_iterations + 1):
+        xk = x ** power
+        y = reference_product(h, x)
+        z = y + opts.shift * xk
+        ratios = z / xk
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo < opts.tolerance:
+            rho = 0.5 * (lo + hi) - opts.shift
+            return SpectralResult(
+                rho=rho,
+                perron=tuple(float(v) for v in x),
+                residual=float(np.abs(y - rho * xk).max()),
+                iterations=it,
+                method="tensor-power",
+            )
+        x = z ** (1.0 / power)
+        x /= x.max()
+    raise AssertionError("reference loop did not converge")
+
+
+def test_apply_matches_reference_product_exactly():
+    rng = np.random.default_rng(11)
+    graphs = [simple_cycle(6), simple_star(5)]
+    graphs += [family(FamilySpec(tag="S", k=k, m=7, g=4)) for k in range(3, 9)]
+    for h in graphs:
+        for _ in range(10):
+            x = rng.uniform(0.01, 3.0, h.n)
+            assert np.array_equal(apply_adjacency(h, x), reference_product(h, x)), h.k
+
+
+@pytest.mark.parametrize("k,m", [(3, 7), (4, 6), (5, 5)])
+def test_batch_is_bit_identical_to_single_graph_calls(k, m):
+    pool = enumerate_linear_unicyclic(k, m, allow_large=True)
+    singles = [spectral_radius_tensor(h) for h in pool]
+    # SpectralResult equality compares rho, perron, residual and iterations with ==
+    assert spectral_radii_tensor(pool) == singles
+    assert singles == [serial_reference(h) for h in pool]
+
+
+def test_batch_mixed_shapes_keep_input_order():
+    pool = enumerate_linear_unicyclic(3, 5)
+    hs = [
+        pool[3],
+        family(FamilySpec(tag="Hyperstar", k=3, m=4)),
+        simple_cycle(5),
+        pool[0],
+        family(FamilySpec(tag="Q", k=4, m=5)),
+        pool[3],
+    ]
+    expected = [spectral_radius_tensor(h) for h in hs]
+    assert spectral_radii_tensor(hs) == expected
+    assert expected == [serial_reference(h) for h in hs]
+
+
+def test_batch_of_nothing_is_empty():
+    assert spectral_radii_tensor([]) == []
+
+
+def test_batch_rejects_a_disconnected_member():
+    hs = [family(FamilySpec(tag="P", k=3, m=5)), make_hypergraph(3, [{0, 1, 2}, {3, 4, 5}])]
+    with pytest.raises(ValueError, match="hypergraph 1 is not connected"):
+        spectral_radii_tensor(hs)
+
+
+def test_batch_non_convergence_names_the_input():
+    hs = [make_hypergraph(3, [{0, 1, 2}]), family(FamilySpec(tag="P", k=3, m=5))]
+    with pytest.raises(ConvergenceError, match=r"for input 1 \(enclosure width \d\.\d+e[-+]\d+\)"):
+        spectral_radii_tensor(hs, IterationOptions(max_iterations=3))
+
+
+def test_batch_non_convergence_after_retirements_names_the_first_open_input():
+    pool = enumerate_linear_unicyclic(3, 6)
+    sweeps = [res.iterations for res in spectral_radii_tensor(pool)]
+    cut = sorted(sweeps)[len(sweeps) // 2]
+    first = min(i for i, s in enumerate(sweeps) if s > cut)
+    opts = IterationOptions(max_iterations=cut)
+    with pytest.raises(ConvergenceError) as single:
+        spectral_radius_tensor(pool[first], opts)
+    width = re.search(r"\(enclosure width \S+\)", str(single.value)).group()
+    with pytest.raises(ConvergenceError, match=f"for input {first} {re.escape(width)}"):
+        spectral_radii_tensor(pool, opts)
