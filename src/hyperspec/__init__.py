@@ -73,6 +73,7 @@ from .enumeration import (
     RankEntry,
     VerificationReport,
     enumerate_linear_unicyclic,
+    pool_size,
     rank_by_rho,
     verify_suite,
 )

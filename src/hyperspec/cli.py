@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .alpha_normal import (
@@ -115,13 +114,6 @@ def _add_iter_flags(parser, default_tol=1e-12):
                         help="iteration tolerance (enclosure width)")
     parser.add_argument("--max-iter", type=int, default=100000, dest="max_iter")
     parser.add_argument("--shift", type=float, default=1.0)
-
-
-def _jobs_from(args) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    env = os.environ.get("HYPERSPEC_JOBS")
-    return int(env) if env else 1
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -278,7 +270,7 @@ def _cmd_transform(args) -> int:
 def _cmd_enumerate(args) -> int:
     opts = _iter_options(args)
     pool = enumerate_linear_unicyclic(
-        args.k, args.m, jobs=_jobs_from(args), allow_large=args.allow_large, cap=args.cap
+        args.k, args.m, allow_large=args.allow_large, cap=args.cap
     )
     results = spectral_radii_tensor(pool, opts) if args.with_rho else None
     lines = []
@@ -312,7 +304,7 @@ def _rank_table(entries: list[RankEntry], fmt: str) -> str:
 def _cmd_rank(args) -> int:
     opts = _iter_options(args)
     pool = enumerate_linear_unicyclic(
-        args.k, args.m, jobs=_jobs_from(args), allow_large=args.allow_large, cap=args.cap
+        args.k, args.m, allow_large=args.allow_large, cap=args.cap
     )
     entries = rank_by_rho(pool, opts)
     _emit(_rank_table(entries, args.format), args.output)
@@ -432,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="all linear unicyclic classes as JSON lines")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--allow-large", action="store_true", dest="allow_large")
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--with-rho", action="store_true", dest="with_rho")
@@ -443,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="rank enumerated classes by spectral radius")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--allow-large", action="store_true", dest="allow_large")
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--format", choices=["csv", "md", "json"], default="md")

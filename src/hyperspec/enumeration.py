@@ -1,24 +1,40 @@
 """Exhaustive enumeration, spectral ranking, and the inequality suite.
 
-Enumeration grows connected linear unicyclic k-uniform hypergraphs level by
-level: seed with the cycle powers C_g^k (3 <= g <= m) and repeatedly attach
-a fresh pendant edge sharing exactly one vertex with the current hypergraph.
-Any attachment sharing two or more vertices would either create a second
-cycle or break linearity, so this growth rule is complete for the target
-class; the m=4 hand count is pinned in the tests.  Isomorphic duplicates
-are removed at every level via canonical forms, which keeps both the
-frontier small and the output order deterministic.
+A connected linear unicyclic k-uniform hypergraph is a cycle of g >= 3
+edges with hypertrees hanging off it.  Read around the cycle, it is a
+sequence of g beads: bead i is the vertex-rooted hypertree at cycle vertex
+i together with the multiset of k - 2 rooted hypertrees on the side
+vertices of cycle edge i (the edge from cycle vertex i to i + 1).  Two such
+hypergraphs are isomorphic iff their bead sequences agree up to the
+dihedral group: a rotation shifts the beads, and a reflection maps bead i
+to (V_{-i}, E_{-i-1}), the tree at vertex -i with the side trees of the
+edge that now leaves it.
+
+The constructor numbers the rooted trees by edge count (a branch is an
+edge carrying k - 1 rooted subtrees, a tree is a multiset of branches),
+emits, for each girth, every bead sequence whose trees hold the other
+m - g edges and that is least among its 2g rotations and reflections, and
+builds each such sequence once.  Every class therefore appears exactly
+once, and no deduplication is needed (isomorph-free generation in the
+sense of McKay, J. Algorithms 1998).
+
+`pool_size` counts the same classes without building them, from the
+ordinary generating functions of that decomposition (Polya counting, as in
+Harary & Palmer, Graphical Enumeration, 1973): rooted trees R are the
+Euler transform of x Z(S_{k-1}; R), a cycle edge with its side trees is
+E = x Z(S_{k-2}; R), a bead is F = R E, and Burnside's lemma over the
+dihedral group of each girth gives the number of necklaces.
 """
 
 from __future__ import annotations
 
-import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product
+from math import gcd
 
 from .alpha_normal import rho_from_alpha, solve_alpha_O, solve_alpha_P
 from .canonical import canonical_form, canonical_id, canonicalize, encode_canonical
-from .families import FamilySpec, _attach_pendants, family, simple_family_graph
+from .families import FamilySpec, family, simple_family_graph
 from .hypergraph import Hypergraph
 from .spectral import (
     IterationOptions,
@@ -31,6 +47,7 @@ from .spectral import (
 __all__ = [
     "CapExceededError",
     "enumerate_linear_unicyclic",
+    "pool_size",
     "RankEntry",
     "rank_by_rho",
     "InstanceCheck",
@@ -47,34 +64,215 @@ TIE_TOL = 1e-9
 
 
 class CapExceededError(RuntimeError):
-    """Raised when an enumeration level holds more classes than `cap`."""
+    """Raised when a pool holds more classes than `cap`."""
 
 
-def _expand_entry(args: tuple[int, tuple[tuple[int, ...], ...]]) -> list[tuple]:
-    """Canonical edge lists of every one-pendant extension of one class."""
-    k, edges = args
-    n = 1 + max(v for e in edges for v in e)
-    h = Hypergraph(k=k, n=n, edges=edges)
-    return [canonicalize(_attach_pendants(h, [v])).edges for v in range(h.n)]
+# --- counting ----------------------------------------------------------------
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two power series truncated to len(a) terms."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(len(a) - i):
+                out[i + j] += x * b[j]
+    return out
+
+
+def _at(a: list[int], d: int) -> list[int]:
+    """a(x^d), truncated to len(a) terms."""
+    out = [0] * len(a)
+    out[::d] = a[: (len(a) - 1) // d + 1]
+    return out
+
+
+def _power(a: list[int], e: int) -> list[int]:
+    out = [1] + [0] * (len(a) - 1)
+    for _ in range(e):
+        out = _mul(out, a)
+    return out
+
+
+def _symmetric(a: list[int], r: int) -> list[int]:
+    """Z(S_r; a): multisets of r objects counted by a, through
+    r Z(S_r) = sum_j a(x^j) Z(S_{r-j})."""
+    z = [[1] + [0] * (len(a) - 1)]
+    for i in range(1, r + 1):
+        acc = [0] * len(a)
+        for j in range(1, i + 1):
+            for t, c in enumerate(_mul(_at(a, j), z[i - j])):
+                acc[t] += c
+        z.append([c // i for c in acc])  # exact: i Z(S_i) has integer terms
+    return z[r]
+
+
+def _euler(b: list[int]) -> list[int]:
+    """Multisets of objects counted by b (b[0] == 0): n r_n = sum_j c_j r_{n-j}
+    with c_j = sum_{d | j} d b_d."""
+    c = [sum(d * b[d] for d in range(1, j + 1) if j % d == 0) for j in range(len(b))]
+    r = [1] + [0] * (len(b) - 1)
+    for n in range(1, len(b)):
+        r[n] = sum(c[j] * r[n - j] for j in range(1, n + 1)) // n
+    return r
+
+
+def _phi(d: int) -> int:
+    return sum(1 for i in range(1, d + 1) if gcd(i, d) == 1)
+
+
+def pool_size(k: int, m: int) -> int:
+    """Number of isomorphism classes of connected linear unicyclic k-uniform
+    hypergraphs with m edges (0 for m < 3), by exact integer arithmetic."""
+    if k < 2:
+        raise ValueError("uniformity k must be >= 2")
+    if m < 3:
+        return 0
+    x = [0, 1] + [0] * (m - 1)
+    rooted = [1] + [0] * m
+    for _ in range(m):  # each pass fixes one more coefficient
+        rooted = _euler(_mul(x, _symmetric(rooted, k - 1)))
+    edge = _mul(x, _symmetric(rooted, k - 2))
+    bead = _mul(rooted, edge)
+    r2, e2 = _at(rooted, 2), _at(edge, 2)
+    total = 0
+    for g in range(3, m + 1):
+        fixed = sum(
+            _phi(d) * _power(_at(bead, d), g // d)[m]
+            for d in range(1, g + 1) if g % d == 0
+        )
+        # a reflection's axis runs through a vertex and the opposite edge (odd
+        # g), or through two opposite vertices or two opposite edges (even g)
+        if g % 2:
+            fixed += g * _mul(bead, _power(_mul(r2, e2), (g - 1) // 2))[m]
+        else:
+            half = g // 2
+            vertex_axis = _mul(_power(rooted, 2), _mul(_power(r2, half - 1), _power(e2, half)))
+            edge_axis = _mul(_power(edge, 2), _mul(_power(e2, half - 1), _power(r2, half)))
+            fixed += half * (vertex_axis[m] + edge_axis[m])
+        total += fixed // (2 * g)
+    return total
+
+
+# --- construction ------------------------------------------------------------
+
+def _picks(sizes: list[int], total: int, count: int | None, lo: int = 0):
+    """Non-decreasing tuples of ids >= lo whose sizes sum to total: exactly
+    `count` ids, or any number of them when count is None.  Ids are numbered
+    in order of size, and every size is >= 1 when count is None."""
+    if count == 0 or (count is None and total == 0):
+        if total == 0:
+            yield ()
+        return
+    rest = None if count is None else count - 1
+    for i in range(lo, len(sizes)):
+        if sizes[i] > total:
+            break
+        for tail in _picks(sizes, total - sizes[i], rest, i):
+            yield (i,) + tail
+
+
+def _compositions(total: int, parts: int, lo: int):
+    """Tuples of `parts` integers >= lo that sum to total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for s in range(lo, total - lo * (parts - 1) + 1):
+        for tail in _compositions(total - s, parts - 1, lo):
+            yield (s,) + tail
+
+
+class _Beads:
+    """Rooted trees, branches and beads with at most `top` edges off the
+    cycle, each numbered in order of size."""
+
+    def __init__(self, k: int, top: int):
+        self.k = k
+        self.trees: list[tuple[int, ...]] = [()]  # branch ids
+        tree_size = [0]
+        self.branches: list[tuple[int, ...]] = []  # k - 1 tree ids
+        branch_size: list[int] = []
+        for s in range(1, top + 1):
+            for kids in _picks(tree_size, s - 1, k - 1):
+                self.branches.append(kids)
+                branch_size.append(s)
+            for parts in _picks(branch_size, s, None):
+                self.trees.append(parts)
+                tree_size.append(s)
+        # bead = (tree at the cycle vertex, k - 2 tree ids on the side vertices)
+        self.beads: list[tuple[int, tuple[int, ...]]] = []
+        self.by_size: list[range] = []
+        for s in range(top + 1):
+            start = len(self.beads)
+            for v, a in enumerate(tree_size):
+                if a <= s:
+                    self.beads += [(v, side) for side in _picks(tree_size, s - a, k - 2)]
+            self.by_size.append(range(start, len(self.beads)))
+        self.index = {b: i for i, b in enumerate(self.beads)}
+
+    def necklaces(self, g: int, total: int):
+        """Bead sequences of length g with `total` edges off the cycle, each
+        the least of its 2g rotations and reflections."""
+        for s0 in range(total // g + 1):
+            for sizes in _compositions(total - s0, g - 1, s0):
+                for first in self.by_size[s0]:
+                    rest = [range(max(first, self.by_size[s].start), self.by_size[s].stop)
+                            for s in sizes]
+                    for tail in product(*rest):
+                        seq = (first,) + tail
+                        if self._is_least(seq):
+                            yield seq
+
+    def _is_least(self, seq: tuple[int, ...]) -> bool:
+        # a reading that starts above seq[0] is larger, so only the others are compared
+        first, g = seq[0], len(seq)
+        for i in range(1, g):
+            if seq[i] == first and seq[i:] + seq[:i] < seq:
+                return False
+        beads = self.beads
+        mirror = tuple(
+            self.index[(beads[seq[-i]][0], beads[seq[-i - 1]][1])] for i in range(g)
+        )
+        for i in range(g):
+            if mirror[i] <= first and mirror[i:] + mirror[:i] < seq:
+                return False
+        return True
+
+    def build(self, seq: tuple[int, ...]) -> Hypergraph:
+        """Canonical representative of the class a bead sequence reads."""
+        k, g = self.k, len(seq)
+        edges: list[tuple[int, ...]] = []
+        todo: list[tuple[int, int]] = []  # (root vertex, tree id)
+        n = g  # cycle vertices are 0..g-1
+        for i, b in enumerate(seq):
+            tree, side = self.beads[b]
+            edges.append(tuple(sorted((i, (i + 1) % g, *range(n, n + k - 2)))))
+            todo.append((i, tree))
+            todo.extend(zip(range(n, n + k - 2), side))
+            n += k - 2
+        while todo:
+            root, tree = todo.pop()
+            for branch in self.trees[tree]:
+                edges.append((root, *range(n, n + k - 1)))
+                todo.extend(zip(range(n, n + k - 1), self.branches[branch]))
+                n += k - 1
+        return canonicalize(Hypergraph(k=k, n=n, edges=tuple(sorted(edges))))
 
 
 def enumerate_linear_unicyclic(
     k: int,
     m: int,
     *,
-    jobs: int = 1,
     allow_large: bool = False,
     cap: int | None = None,
-    _shuffle_seed: int | None = None,
 ) -> list[Hypergraph]:
     """All isomorphism classes of connected linear unicyclic k-uniform
     hypergraphs with m edges, as canonical representatives in canonical
     order.
 
-    Enumeration with m >= 7 must be opted into with allow_large; `cap`
-    bounds the per-level class count and raises when exceeded.  The
-    `_shuffle_seed` hook reorders the expansion schedule (the result must
-    be identical; exercised by the determinism tests).
+    Enumeration with m >= 7 must be opted into with allow_large; when the
+    pool would hold more than `cap` classes, CapExceededError is raised
+    before any class is built.
     """
     if k < 3:
         raise ValueError("enumeration needs k >= 3")
@@ -84,38 +282,13 @@ def enumerate_linear_unicyclic(
         raise ValueError(
             f"enumeration at m={m} is expensive; pass allow_large=True (or --allow-large)"
         )
-    rng = random.Random(_shuffle_seed) if _shuffle_seed is not None else None
-    # canonical representatives are equal iff isomorphic, so (n, edges) is the key
-    level: dict[tuple, Hypergraph] = {}
-    executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        for j in range(3, m + 1):
-            nxt: dict[tuple, Hypergraph] = {}
-            seed = canonicalize(
-                family(FamilySpec(tag="CyclePower", k=k, m=j, g=j))
-            )
-            nxt[(seed.n, seed.edges)] = seed
-            work = [(k, h.edges) for h in level.values()]
-            if rng is not None:
-                rng.shuffle(work)
-            if executor is not None and work:
-                batches = executor.map(_expand_entry, work, chunksize=8)
-            else:
-                batches = map(_expand_entry, work)
-            for batch in batches:
-                for edges in batch:
-                    n = 1 + max(v for e in edges for v in e)
-                    if (n, edges) not in nxt:
-                        nxt[(n, edges)] = Hypergraph(k=k, n=n, edges=edges, _canonical=True)
-            if cap is not None and len(nxt) > cap:
-                raise CapExceededError(
-                    f"class cap exceeded at m={j}: {len(nxt)} > {cap}"
-                )
-            level = nxt
-    finally:
-        if executor is not None:
-            executor.shutdown()
-    return sorted(level.values(), key=encode_canonical)
+    if cap is not None and (size := pool_size(k, m)) > cap:
+        raise CapExceededError(f"class cap exceeded at m={m}: {size} > {cap}")
+    beads = _Beads(k, m - 3)
+    pool = [
+        beads.build(seq) for g in range(3, m + 1) for seq in beads.necklaces(g, m - g)
+    ]
+    return sorted(pool, key=encode_canonical)
 
 
 @dataclass(frozen=True)

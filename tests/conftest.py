@@ -1,7 +1,5 @@
 """Shared fixtures: the k=3, m <= 6 enumeration pool and a radius cache."""
 
-import os
-
 import pytest
 
 from hyperspec import (
@@ -11,15 +9,6 @@ from hyperspec import (
 )
 
 POOL_OPTS = IterationOptions(tolerance=1e-11, max_iterations=200000)
-
-
-def pytest_collection_modifyitems(config, items):
-    if os.environ.get("HYPERSPEC_RUN_M8") == "1":
-        return
-    skip = pytest.mark.skip(reason="set HYPERSPEC_RUN_M8=1 to run full m=8 enumeration")
-    for item in items:
-        if "bigpool" in item.keywords:
-            item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")

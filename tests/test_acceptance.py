@@ -12,7 +12,7 @@ one PASS line on success (visible with `pytest -s`).  Criteria:
 5. the two rewiring goldens land on O_5 / Q_5 with strictly larger radius.
 6. enumeration: m=4 has exactly 3 classes; at m in {5,6} the top two
    ranked classes are S(m,3) then T1(m) with margins above 1e-6, under
-   5 min (the m=8 third-place check runs under the bigpool marker).
+   5 min (the m=8 third-place check is in test_enumeration.py).
 7. the m <= 6 pool property checks run with zero failures (delegated to
    the pool property tests; re-asserted here on a spot sample).
 """

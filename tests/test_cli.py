@@ -220,10 +220,3 @@ def test_verify_failure_exit_code(capsys):
     # an absurd tolerance makes every pass margin unreachable
     code, _, _ = invoke(capsys, "verify", "--k", "3", "--m", "5", "--tol", "0.5")
     assert code == 1
-
-
-def test_jobs_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("HYPERSPEC_JOBS", "2")
-    code, stdout, _ = invoke(capsys, "enumerate", "--k", "3", "--m", "4")
-    assert code == 0
-    assert len(stdout.strip().splitlines()) == 3

@@ -6,13 +6,16 @@ import pytest
 from helpers import brute_isomorphic, relabel
 
 from hyperspec import (
+    CapExceededError,
     FamilySpec,
     IterationOptions,
     canonical_form,
     canonicalize,
     enumerate_linear_unicyclic,
+    enumeration,
     family,
     make_hypergraph,
+    pool_size,
     rank_by_rho,
     structural_profile,
     verify_suite,
@@ -109,16 +112,69 @@ def test_enumeration_domain_errors():
         enumerate_linear_unicyclic(3, 5, cap=5)
 
 
-def test_shuffled_expansion_order_is_irrelevant(pool_by_m):
-    base = [(h.k, h.edges) for h in pool_by_m[5]]
-    for seed in (1, 2):
-        shuffled = enumerate_linear_unicyclic(3, 5, _shuffle_seed=seed)
-        assert [(h.k, h.edges) for h in shuffled] == base
+def test_cap_is_checked_before_any_class_is_built(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("built classes despite the cap")
+
+    monkeypatch.setattr(enumeration, "_Beads", no_build)
+    with pytest.raises(CapExceededError, match="cap exceeded at m=10: 7651 > 7650"):
+        enumerate_linear_unicyclic(3, 10, allow_large=True, cap=7650)
 
 
-def test_parallel_jobs_match_sequential(pool_by_m):
-    parallel = enumerate_linear_unicyclic(3, 5, jobs=2)
-    assert [(h.k, h.edges) for h in parallel] == [(h.k, h.edges) for h in pool_by_m[5]]
+def test_cap_equal_to_the_pool_size_is_allowed():
+    assert len(enumerate_linear_unicyclic(3, 5, cap=11)) == 11
+
+
+@pytest.mark.parametrize(
+    "k,first_m,counts",
+    [
+        (3, 3, [1, 3, 11, 41, 148, 551, 2048, 7651, 28627]),
+        (4, 5, [12, 47, 184, 731, 2909, 11592]),
+        (5, 5, [12, 48, 190, 767, 3098, 12533]),
+    ],
+)
+def test_pool_size_pinned_values(k, first_m, counts):
+    assert [pool_size(k, first_m + i) for i in range(len(counts))] == counts
+
+
+def test_pool_size_at_k2_counts_connected_unicyclic_graphs():
+    # OEIS A001429, n = m = 3..10; no linear unicyclic class has m < 3
+    assert [pool_size(2, m) for m in range(3, 11)] == [1, 2, 5, 13, 33, 89, 240, 657]
+    assert pool_size(3, 2) == 0
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        pool_size(1, 5)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_constructor_count_matches_pool_size(k):
+    for m in range(3, 10 if k == 3 else 9):
+        assert len(enumerate_linear_unicyclic(k, m, allow_large=True)) == pool_size(k, m), m
+
+
+def _pendant_growth(k, m):
+    """Class sets by the old pendant-growth rule, independent of the bead
+    construction: the cycle power of each girth plus one pendant edge at
+    every vertex of every class one level down, deduplicated by form."""
+    levels, level = {}, []
+    for j in range(3, m + 1):
+        grown = [family(FamilySpec(tag="CyclePower", k=k, m=j, g=j))]
+        for h in level:
+            for v in range(h.n):
+                pendant = (v, *range(h.n, h.n + k - 1))
+                grown.append(make_hypergraph(k, list(h.edges) + [pendant]))
+        forms = {canonical_form(h): h for h in grown}
+        level = list(forms.values())
+        levels[j] = set(forms)
+    return levels
+
+
+@pytest.mark.parametrize("k,m", [(3, 7), (4, 6), (5, 6)])
+def test_constructor_matches_pendant_growth(k, m):
+    for j, expected in _pendant_growth(k, m).items():
+        pool = enumerate_linear_unicyclic(k, j, allow_large=True)
+        forms = [canonical_form(h) for h in pool]
+        assert len(forms) == len(set(forms)), j
+        assert set(forms) == expected, j
 
 
 def test_k4_m5_count():
@@ -216,10 +272,8 @@ def test_verify_report_serialization():
     assert all({"k", "m", "gap", "status"} <= set(i) for i in d["instances"])
 
 
-@pytest.mark.bigpool
 def test_third_place_at_m8_by_full_enumeration():
-    """Best-effort full check: enumerate everything at m=8 and confirm the
-    third-ranked class."""
+    """Enumerate everything at m=8 and confirm the third-ranked class."""
     pool = enumerate_linear_unicyclic(3, 8, allow_large=True)
     entries = rank_by_rho(pool, IterationOptions(tolerance=1e-10))
     s83 = canonical_form(family(FamilySpec(tag="S", k=3, m=8, g=3))).decode()
