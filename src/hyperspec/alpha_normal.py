@@ -191,6 +191,8 @@ def f_O(alpha: float, r: int) -> float:
 
 def _bisect_to_one(fn, lo: float, hi: float, tol: float) -> float:
     """Root of fn(x) = 1 for fn strictly increasing with fn(lo) < 1 < fn(hi)."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     while hi - lo > 1e-16:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -271,18 +273,16 @@ def _base_weights(h: Hypergraph, roles, alpha: float) -> dict[tuple[int, int], f
     return w
 
 
-def build_B_P(m: int, k: int, alpha: float) -> WeightedIncidence:
-    """The exact P-family labeling; alpha-normal iff f_P(alpha, m-4) = 1."""
-    if m < 5:
-        raise ValueError("P needs m >= 5")
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha={alpha} outside (0, 1/2)")
-    h, roles = family_p_with_roles(k, m)
-    beta = math.sqrt(alpha / (1.0 - alpha))
+def _build_exact(h: Hypergraph, roles, alpha: float) -> WeightedIncidence:
+    """The exact labeling shared by P and O: the cored cycle vertex w keeps
+    c = 1 - (pendants at w) * alpha on its cycle edge, and beta = sqrt(alpha/c)
+    closes the cycle consistently."""
+    c = 1.0 - len(roles.pendants_w) * alpha
+    beta = math.sqrt(alpha / c)
     if beta >= 1.0:
         raise ValueError("alpha too large: cycle weight would not be positive")
     w = _base_weights(h, roles, alpha)
-    w[(roles.w, roles.e3)] = 1.0 - alpha
+    w[(roles.w, roles.e3)] = c
     w[(roles.v1, roles.e3)] = beta
     w[(roles.v3, roles.e3)] = beta
     w[(roles.v1, roles.e1)] = 1.0 - beta
@@ -290,6 +290,15 @@ def build_B_P(m: int, k: int, alpha: float) -> WeightedIncidence:
     w[(roles.v2, roles.e1)] = alpha / (1.0 - beta)
     w[(roles.v2, roles.e2)] = alpha / (1.0 - beta)
     return WeightedIncidence(hypergraph=h, weights=w)
+
+
+def build_B_P(m: int, k: int, alpha: float) -> WeightedIncidence:
+    """The exact P-family labeling; alpha-normal iff f_P(alpha, m-4) = 1."""
+    if m < 5:
+        raise ValueError("P needs m >= 5")
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha={alpha} outside (0, 1/2)")
+    return _build_exact(*family_p_with_roles(k, m), alpha)
 
 
 def build_B_O(m: int, k: int, alpha: float) -> WeightedIncidence:
@@ -303,17 +312,7 @@ def build_B_O(m: int, k: int, alpha: float) -> WeightedIncidence:
     r = m - 4
     if not 0.0 < alpha < 1.0 / (r + 2):
         raise ValueError(f"alpha={alpha} outside (0, 1/(r+2)) for r={r}")
-    h, roles = family_o_with_roles(k, m)
-    beta = math.sqrt(alpha / (1.0 - (r + 1) * alpha))
-    w = _base_weights(h, roles, alpha)
-    w[(roles.w, roles.e3)] = 1.0 - (r + 1) * alpha
-    w[(roles.v1, roles.e3)] = beta
-    w[(roles.v3, roles.e3)] = beta
-    w[(roles.v1, roles.e1)] = 1.0 - beta
-    w[(roles.v3, roles.e2)] = 1.0 - beta
-    w[(roles.v2, roles.e1)] = alpha / (1.0 - beta)
-    w[(roles.v2, roles.e2)] = alpha / (1.0 - beta)
-    return WeightedIncidence(hypergraph=h, weights=w)
+    return _build_exact(*family_o_with_roles(k, m), alpha)
 
 
 def build_B_Q_supernormal(m: int, k: int, alpha: float) -> WeightedIncidence:

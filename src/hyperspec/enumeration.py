@@ -28,7 +28,8 @@ dihedral group of each girth gives the number of necklaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import product
 from math import gcd
 
@@ -359,18 +360,7 @@ class InstanceCheck:
     status: str  # "pass" | "fail" | "na"
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "detail": self.detail,
-            "lhs_label": self.lhs_label,
-            "rhs_label": self.rhs_label,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "tolerance": self.tolerance,
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -393,71 +383,29 @@ class VerificationReport:
 class _FamilyValue:
     label: str
     hypergraph: Hypergraph
-    form: str  # canonical form of hypergraph
-    tensor: SpectralResult
-    cross: float | None
+    rho: float  # tensor iteration
+    cross: float | None  # the independent second route, where one exists
     cross_kind: str | None
 
-
-class _FamilyCache:
-    """Spectral radii of family members, each cross-checked by a second
-    route where one exists (exact alpha labeling for P and O, the power
-    shortcut for the power families)."""
-
-    def __init__(self, opts: IterationOptions):
-        self.opts = opts
-        self._vals: dict[tuple, _FamilyValue] = {}
-
-    def value(self, tag: str, k: int, m: int, g: int | None = None) -> _FamilyValue:
-        key = (tag, k, m, g)
-        if key in self._vals:
-            return self._vals[key]
-        h = family(FamilySpec(tag=tag, k=k, m=m, g=g))
-        tensor = spectral_radius_tensor(h, self.opts)
-        cross: float | None = None
-        kind: str | None = None
-        if tag in ("Hyperstar", "CyclePower", "S", "T1", "T2", "U1"):
-            cross = spectral_radius_power_formula(
-                simple_family_graph(tag, m, g), k, self.opts
-            )
-            kind = "power-formula"
-        elif tag == "P":
-            cross = rho_from_alpha(solve_alpha_P(m - 4), k)
-            kind = "alpha-normal"
-        elif tag == "O":
-            cross = rho_from_alpha(solve_alpha_O(m - 4), k)
-            kind = "alpha-normal"
-        label = f"{tag}(m={m})" if g is None else f"{tag}(m={m},g={g})"
-        val = _FamilyValue(
-            label=label, hypergraph=h, form=canonical_form(h), tensor=tensor,
-            cross=cross, cross_kind=kind,
-        )
-        self._vals[key] = val
-        return val
-
-    def all_values(self) -> list[_FamilyValue]:
-        return [self._vals[key] for key in sorted(self._vals, key=repr)]
+    @cached_property
+    def form(self) -> bytes:
+        return canonical_form(self.hypergraph)
 
 
-# (claim id, description, domain min m, [(lhs tag/g, rhs tag/g)])
-_PAIR_CLAIMS = [
-    ("Q<T1", "pendant edge on a hub cycle edge loses to a pendant at a degree-2 cycle vertex", 5,
-     ("Q", None), ("T1", None)),
-    ("P<Q", "pendant edge on the far cycle edge loses to one adjacent to the hub", 5,
-     ("P", None), ("Q", None)),
-    ("O<P", "all pendants at one cored cycle vertex lose to the split P shape", 5,
-     ("O", None), ("P", None)),
-    ("S4<O", "girth-4 star power loses to the cored-vertex hyperstar shape", 4,
-     ("S", 4), ("O", None)),
-    ("T2<U1", "two pendants at a degree-2 cycle vertex lose to the extended star leaf", 8,
-     ("T2", None), ("U1", None)),
-    ("U1<Q", "extended star leaf loses to the pendant on a hub cycle edge", 5,
-     ("U1", None), ("Q", None)),
-]
-
-
-def _pass_status(gap: float, margin: float) -> str:
-    return "pass" if gap > margin else "fail"
+def _family_value(tag: str, k: int, m: int, g: int | None, opts: IterationOptions) -> _FamilyValue:
+    """A family member's spectral radius, with its exact alpha labeling (P
+    and O) or power shortcut (the power families) as a second route."""
+    h = family(FamilySpec(tag=tag, k=k, m=m, g=g))
+    cross: float | None = None
+    kind: str | None = None
+    if tag in ("Hyperstar", "CyclePower", "S", "T1", "T2", "U1"):
+        cross = spectral_radius_power_formula(simple_family_graph(tag, m, g), k, opts)
+        kind = "power-formula"
+    elif tag in ("P", "O"):
+        cross = rho_from_alpha((solve_alpha_P if tag == "P" else solve_alpha_O)(m - 4), k)
+        kind = "alpha-normal"
+    label = f"{tag}(m={m})" if g is None else f"{tag}(m={m},g={g})"
+    return _FamilyValue(label, h, spectral_radius_tensor(h, opts).rho, cross, kind)
 
 
 def verify_suite(
@@ -468,179 +416,108 @@ def verify_suite(
 ) -> list[VerificationReport]:
     """Evaluate the spectral-order inequalities on every m in [m_lo, m_hi].
 
-    Each inequality passes only when its strict gap exceeds 10x the
-    iteration tolerance; instances outside a claim's domain are marked
-    "na" and never counted as passes.  A cross-method agreement claim
-    covers every family value computed along the way.
+    Each claim is one row of a table: its id, description, the least m in
+    its domain, and the instances it checks at one m.  Every inequality
+    instance is built by the local `check`, which holds the pass rule: the
+    strict gap rhs - lhs must exceed 10x the iteration tolerance.
+    Instances below a claim's domain are marked "na" and never counted as
+    passes.  A cross-method agreement claim covers every family value
+    computed along the way and passes when the two routes differ by at
+    most CROSS_METHOD_TOL.
     """
     if m_lo > m_hi:
         raise ValueError("empty m range")
     opts = opts or IterationOptions(tolerance=1e-10)
-    margin = 10.0 * opts.tolerance
-    cache = _FamilyCache(opts)
-    reports: list[VerificationReport] = []
+    tol = opts.tolerance
+    values: dict[tuple, _FamilyValue] = {}
 
-    def na(m: int, detail: str = "") -> InstanceCheck:
-        return InstanceCheck(
-            k=k, m=m, detail=detail, lhs_label="", rhs_label="", lhs=None,
-            rhs=None, gap=None, tolerance=opts.tolerance, status="na",
-        )
+    def value(tag: str, m: int, g: int | None = None) -> _FamilyValue:
+        key = (tag, k, m, g)
+        if key not in values:
+            values[key] = _family_value(tag, k, m, g, opts)
+        return values[key]
 
-    for claim, desc, dom, (lt, lg), (rt, rg) in _PAIR_CLAIMS:
-        instances = []
-        for m in range(m_lo, m_hi + 1):
-            if m < dom:
-                instances.append(na(m))
-                continue
-            lhs = cache.value(lt, k, m, lg)
-            rhs = cache.value(rt, k, m, rg)
-            gap = rhs.tensor.rho - lhs.tensor.rho
-            instances.append(
-                InstanceCheck(
-                    k=k, m=m, detail="", lhs_label=lhs.label, rhs_label=rhs.label,
-                    lhs=lhs.tensor.rho, rhs=rhs.tensor.rho, gap=gap,
-                    tolerance=opts.tolerance, status=_pass_status(gap, margin),
-                )
-            )
-        reports.append(_finish(claim, desc, instances))
+    def check(m: int, detail: str, lhs_label: str, lhs: float, rhs_label: str,
+              rhs: float) -> InstanceCheck:
+        gap = rhs - lhs
+        return InstanceCheck(k, m, detail, lhs_label, rhs_label, lhs, rhs, gap, tol,
+                             "pass" if gap > 10.0 * tol else "fail")
 
-    # decreasing in girth: S(m,g) < S(m,g-1) for each 4 <= g <= m
-    instances = []
-    for m in range(m_lo, m_hi + 1):
-        if m < 4:
-            instances.append(na(m))
-            continue
-        for g in range(4, m + 1):
-            lhs = cache.value("S", k, m, g)
-            rhs = cache.value("S", k, m, g - 1)
-            gap = rhs.tensor.rho - lhs.tensor.rho
-            instances.append(
-                InstanceCheck(
-                    k=k, m=m, detail=f"g={g}", lhs_label=lhs.label,
-                    rhs_label=rhs.label, lhs=lhs.tensor.rho, rhs=rhs.tensor.rho,
-                    gap=gap, tolerance=opts.tolerance,
-                    status=_pass_status(gap, margin),
-                )
-            )
-    reports.append(
-        _finish(
-            "S-girth-monotone",
-            "star-on-cycle powers lose spectral radius as the girth grows",
-            instances,
-        )
-    )
+    def below(m: int, detail: str, lo: _FamilyValue, hi: _FamilyValue) -> InstanceCheck:
+        return check(m, detail, lo.label, lo.rho, hi.label, hi.rho)
 
-    # the slack certificate really does place Q above P's exact value
-    instances = []
-    for m in range(m_lo, m_hi + 1):
-        if m < 5:
-            instances.append(na(m))
-            continue
+    def pair(lhs: str, rhs: str, lhs_g: int | None = None):
+        return lambda m: [below(m, "", value(lhs, m, lhs_g), value(rhs, m))]
+
+    def girth_steps(m: int) -> list[InstanceCheck]:
+        return [below(m, f"g={g}", value("S", m, g), value("S", m, g - 1))
+                for g in range(4, m + 1)]
+
+    def alpha_bound(m: int) -> list[InstanceCheck]:
+        q = value("Q", m)
         bound = rho_from_alpha(solve_alpha_P(m - 4), k)
-        q = cache.value("Q", k, m)
-        gap = q.tensor.rho - bound
-        instances.append(
-            InstanceCheck(
-                k=k, m=m, detail="", lhs_label=f"alpha-bound(m={m})",
-                rhs_label=q.label, lhs=bound, rhs=q.tensor.rho, gap=gap,
-                tolerance=opts.tolerance, status=_pass_status(gap, margin),
-            )
-        )
-    reports.append(
-        _finish(
-            "Q-above-alpha-bound",
-            "rho(Q) strictly exceeds the exact alpha value of P (slack certificate)",
-            instances,
-        )
-    )
+        return [check(m, "", f"alpha-bound(m={m})", bound, q.label, q.rho)]
 
-    # family-pool placements (coincident shapes excluded by canonical form)
-    def pool_values(m: int) -> list[_FamilyValue]:
-        vals = [cache.value("S", k, m, g) for g in range(3, m + 1)]
-        if m >= 4:
-            vals.append(cache.value("T1", k, m))
-            vals.append(cache.value("O", k, m))
-        if m >= 5:
-            vals.extend(
-                cache.value(tag, k, m) for tag in ("T2", "U1", "P", "Q")
-            )
-        return vals
+    def placement(*winners: str):
+        # coincident shapes are excluded by canonical form
+        def rows(m: int) -> list[InstanceCheck]:
+            pool = [value("S", m, g) for g in range(3, m + 1)]
+            pool += [value(tag, m) for tag in ("T1", "O", "T2", "U1", "P", "Q")]
+            chain = [value("S", m, 3)] + [value(tag, m) for tag in winners]
+            skip = {v.form for v in chain}
+            out = [below(m, "order", lo, hi) for hi, lo in zip(chain, chain[1:])]
+            return out + [below(m, "pool", v, chain[-1]) for v in pool if v.form not in skip]
+        return rows
 
-    for claim, desc, dom, winners in (
-        (
-            "T1-second-in-family-pool",
-            "among the named families, T1 is strictly second behind S(m,3)",
-            5,
-            ("T1",),
-        ),
-        (
-            "Q-third-in-family-pool",
-            "among the named families, Q is strictly third behind S(m,3) and T1",
-            8,
-            ("T1", "Q"),
-        ),
-    ):
+    # (claim id, description, least m of the domain, instances at one m)
+    claims = [
+        ("Q<T1", "pendant edge on a hub cycle edge loses to a pendant at a degree-2 cycle vertex",
+         5, pair("Q", "T1")),
+        ("P<Q", "pendant edge on the far cycle edge loses to one adjacent to the hub",
+         5, pair("P", "Q")),
+        ("O<P", "all pendants at one cored cycle vertex lose to the split P shape",
+         5, pair("O", "P")),
+        ("S4<O", "girth-4 star power loses to the cored-vertex hyperstar shape",
+         4, pair("S", "O", lhs_g=4)),
+        ("T2<U1", "two pendants at a degree-2 cycle vertex lose to the extended star leaf",
+         8, pair("T2", "U1")),
+        ("U1<Q", "extended star leaf loses to the pendant on a hub cycle edge",
+         5, pair("U1", "Q")),
+        ("S-girth-monotone", "star-on-cycle powers lose spectral radius as the girth grows",
+         4, girth_steps),
+        ("Q-above-alpha-bound",
+         "rho(Q) strictly exceeds the exact alpha value of P (slack certificate)",
+         5, alpha_bound),
+        ("T1-second-in-family-pool",
+         "among the named families, T1 is strictly second behind S(m,3)",
+         5, placement("T1")),
+        ("Q-third-in-family-pool",
+         "among the named families, Q is strictly third behind S(m,3) and T1",
+         8, placement("T1", "Q")),
+    ]
+    reports = []
+    for claim, desc, dom, rows in claims:
         instances = []
         for m in range(m_lo, m_hi + 1):
-            if m < dom:
-                instances.append(na(m))
-                continue
-            vals = pool_values(m)
-            top = cache.value("S", k, m, 3)
-            skip_forms = {top.form}
-            chain = [top]
-            for tag in winners:
-                v = cache.value(tag, k, m)
-                skip_forms.add(v.form)
-                chain.append(v)
-            for above, below in zip(chain, chain[1:]):
-                gap = above.tensor.rho - below.tensor.rho
-                instances.append(
-                    InstanceCheck(
-                        k=k, m=m, detail="order", lhs_label=below.label,
-                        rhs_label=above.label, lhs=below.tensor.rho,
-                        rhs=above.tensor.rho, gap=gap, tolerance=opts.tolerance,
-                        status=_pass_status(gap, margin),
-                    )
-                )
-            target = chain[-1]
-            for v in vals:
-                if v.form in skip_forms:
-                    continue
-                gap = target.tensor.rho - v.tensor.rho
-                instances.append(
-                    InstanceCheck(
-                        k=k, m=m, detail="pool", lhs_label=v.label,
-                        rhs_label=target.label, lhs=v.tensor.rho,
-                        rhs=target.tensor.rho, gap=gap, tolerance=opts.tolerance,
-                        status=_pass_status(gap, margin),
-                    )
-                )
+            instances += rows(m) if m >= dom else [
+                InstanceCheck(k, m, "", "", "", None, None, None, tol, "na")
+            ]
         reports.append(_finish(claim, desc, instances))
 
-    # cross-method agreement over everything computed above
     instances = []
-    for val in cache.all_values():
+    for key in sorted(values, key=repr):
+        val = values[key]
         if val.cross is None:
             continue
-        diff = abs(val.tensor.rho - val.cross)
-        gap = CROSS_METHOD_TOL - diff
-        instances.append(
-            InstanceCheck(
-                k=k, m=val.hypergraph.m, detail=val.cross_kind or "",
-                lhs_label=f"|tensor-{val.cross_kind}| {val.label}",
-                rhs_label=f"{CROSS_METHOD_TOL}", lhs=diff, rhs=CROSS_METHOD_TOL,
-                gap=gap, tolerance=opts.tolerance,
-                status="pass" if diff <= CROSS_METHOD_TOL else "fail",
-            )
-        )
-    reports.append(
-        _finish(
-            "cross-method",
-            "tensor iteration agrees with the independent second route",
-            instances,
-        )
-    )
+        diff = abs(val.rho - val.cross)
+        instances.append(InstanceCheck(
+            k, val.hypergraph.m, val.cross_kind, f"|tensor-{val.cross_kind}| {val.label}",
+            f"{CROSS_METHOD_TOL}", diff, CROSS_METHOD_TOL, CROSS_METHOD_TOL - diff, tol,
+            "pass" if diff <= CROSS_METHOD_TOL else "fail",
+        ))
+    reports.append(_finish(
+        "cross-method", "tensor iteration agrees with the independent second route", instances
+    ))
     return reports
 
 

@@ -30,6 +30,7 @@ spectral_radius_tensor is the batch of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,12 +63,12 @@ class IterationOptions:
     shift: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.shift < 0:
-            raise ValueError("shift must be >= 0")
+        if not (math.isfinite(self.shift) and self.shift >= 0):
+            raise ValueError("shift must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -70,14 +70,28 @@ def test_rho_alpha_rejects_non_unicyclic_input(tmp_path, capsys, text):
         (("rho", "{bad_json}"), 2, "malformed hypergraph JSON"),
         (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "1e-30"), 3, "bisection"),
         (("rank", "--k", "3", "--m", "5", "--max-iter", "3"), 3, "did not reach"),
+        (("rho", "{q6}", "--shift", "nan"), 2, "shift must be finite"),
+        (("rho", "{q6}", "--shift", "inf"), 2, "shift must be finite"),
+        (("rho", "{q6}", "--tol", "inf"), 2, "tolerance must be finite"),
+        (("rho", "{q6}", "--tol", "nan"), 2, "tolerance must be finite"),
+        (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "0"), 2, "finite and positive"),
+        (("alpha", "solve", "--family", "O", "--r", "2", "--tol", "-1"), 2, "finite and positive"),
+        (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "nan"), 2,
+         "finite and positive"),
+        (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "inf"), 2,
+         "finite and positive"),
     ],
     ids=["enumerate-cap", "json-edges-not-a-list", "alpha-solve-unreachable-tol",
-         "rank-max-iter"],
+         "rank-max-iter", "rho-shift-nan", "rho-shift-inf", "rho-tol-inf", "rho-tol-nan",
+         "alpha-solve-tol-zero", "alpha-solve-tol-negative", "alpha-solve-tol-nan",
+         "alpha-solve-tol-inf"],
 )
 def test_error_exit_codes(tmp_path, capsys, argv, expected, message):
     bad = tmp_path / "bad.json"
     bad.write_text('{"k": 3, "n": 3, "edges": 5}\n')
-    code, _, err = invoke(capsys, *(a.format(bad_json=bad) for a in argv))
+    q6 = tmp_path / "q6.json"
+    invoke(capsys, "build", "--family", "Q", "--k", "3", "--m", "6", "-o", str(q6))
+    code, _, err = invoke(capsys, *(a.format(bad_json=bad, q6=q6) for a in argv))
     assert code == expected
     assert message in err
 

@@ -1,6 +1,8 @@
 """Enumeration completeness, determinism, ranking, and the inequality suite."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from helpers import brute_isomorphic, relabel
@@ -270,6 +272,28 @@ def test_verify_report_serialization():
     d = reports[0].to_json_dict()
     assert d["claim"] and d["verdict"] in ("pass", "fail", "not-applicable")
     assert all({"k", "m", "gap", "status"} <= set(i) for i in d["instances"])
+
+
+def test_verify_suite_matches_pinned_instances():
+    """Every claim, verdict and instance of `verify --k 3 --m 1..9` against
+    the recorded output: order, labels, "na" rows and statuses exactly, the
+    floats to a relative 1e-12 (pytest.approx keeps its 1e-12 absolute floor
+    for the cross-method differences, which are rounding noise)."""
+    pinned = json.loads((Path(__file__).parent / "data" / "verify_k3_m1_9.json").read_text())
+    got = [r.to_json_dict() for r in verify_suite(3, 1, 9)]
+    assert [(r["claim"], r["description"], r["verdict"]) for r in got] == [
+        (r["claim"], r["description"], r["verdict"]) for r in pinned
+    ]
+    for rep, ref in zip(got, pinned):
+        assert len(rep["instances"]) == len(ref["instances"]), rep["claim"]
+        for inst, want in zip(rep["instances"], ref["instances"]):
+            exact = ("k", "m", "detail", "lhs_label", "rhs_label", "status", "tolerance")
+            assert {f: inst[f] for f in exact} == {f: want[f] for f in exact}
+            for f in ("lhs", "rhs", "gap"):
+                if want[f] is None:
+                    assert inst[f] is None
+                else:
+                    assert inst[f] == pytest.approx(want[f], rel=1e-12), (rep["claim"], f)
 
 
 def test_third_place_at_m8_by_full_enumeration():
