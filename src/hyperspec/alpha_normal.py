@@ -18,7 +18,7 @@ at P_m's alpha that certifies rho(Q_m) > rho(P_m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .families import family_o_with_roles, family_p_with_roles, family_q_with_roles
 from .hypergraph import Hypergraph, structural_profile, unique_cycle
@@ -102,14 +102,7 @@ class NormalityReport:
     cycle_product: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "alpha": self.alpha,
-            "tolerance": self.tolerance,
-            "row_sums": list(self.row_sums),
-            "edge_products": list(self.edge_products),
-            "cycle_product": self.cycle_product,
-        }
+        return asdict(self)
 
 
 def cycle_consistency(w: WeightedIncidence) -> float:

@@ -32,6 +32,7 @@ from .alpha_normal import (
 )
 from .canonical import canonical_form, canonical_id
 from .enumeration import (
+    DEFAULT_CAP,
     CapExceededError,
     RankEntry,
     VerificationReport,
@@ -102,18 +103,22 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _iter_options(args) -> IterationOptions:
-    return IterationOptions(
-        tolerance=args.tol,
-        max_iterations=args.max_iter,
-        shift=args.shift,
-    )
+    return IterationOptions(tolerance=args.tol, max_iterations=args.max_iter)
 
 
 def _add_iter_flags(parser, default_tol=1e-12):
     parser.add_argument("--tol", type=float, default=default_tol,
                         help="iteration tolerance (enclosure width)")
     parser.add_argument("--max-iter", type=int, default=100000, dest="max_iter")
-    parser.add_argument("--shift", type=float, default=1.0)
+
+
+def _add_pool_flags(parser):
+    parser.add_argument("--k", type=int, required=True)
+    parser.add_argument("--m", type=int, required=True)
+    parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                        help=f"refuse a pool of more than CAP classes (default {DEFAULT_CAP})")
+    parser.add_argument("--allow-large", action="store_const", const=None, dest="cap",
+                        help="lift the class cap")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -269,9 +274,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     opts = _iter_options(args)
-    pool = enumerate_linear_unicyclic(
-        args.k, args.m, allow_large=args.allow_large, cap=args.cap
-    )
+    pool = enumerate_linear_unicyclic(args.k, args.m, cap=args.cap)
     results = spectral_radii_tensor(pool, opts) if args.with_rho else None
     lines = []
     for i, h in enumerate(pool):
@@ -303,9 +306,7 @@ def _rank_table(entries: list[RankEntry], fmt: str) -> str:
 
 def _cmd_rank(args) -> int:
     opts = _iter_options(args)
-    pool = enumerate_linear_unicyclic(
-        args.k, args.m, allow_large=args.allow_large, cap=args.cap
-    )
+    pool = enumerate_linear_unicyclic(args.k, args.m, cap=args.cap)
     entries = rank_by_rho(pool, opts)
     _emit(_rank_table(entries, args.format), args.output)
     return 0
@@ -422,20 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
     tr.set_defaults(handler=_cmd_transform)
 
     p = sub.add_parser("enumerate", help="all linear unicyclic classes as JSON lines")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--allow-large", action="store_true", dest="allow_large")
-    p.add_argument("--cap", type=int, default=None)
+    _add_pool_flags(p)
     p.add_argument("--with-rho", action="store_true", dest="with_rho")
     p.add_argument("-o", "--output", default=None)
     _add_iter_flags(p)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("rank", help="rank enumerated classes by spectral radius")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--allow-large", action="store_true", dest="allow_large")
-    p.add_argument("--cap", type=int, default=None)
+    _add_pool_flags(p)
     p.add_argument("--format", choices=["csv", "md", "json"], default="md")
     p.add_argument("-o", "--output", default=None)
     _add_iter_flags(p)

@@ -54,12 +54,12 @@ __all__ = [
     "InstanceCheck",
     "VerificationReport",
     "verify_suite",
-    "LARGE_POOL_THRESHOLD",
+    "DEFAULT_CAP",
     "CROSS_METHOD_TOL",
     "TIE_TOL",
 ]
 
-LARGE_POOL_THRESHOLD = 7  # enumeration beyond this edge count is opt-in
+DEFAULT_CAP = 20000  # above every pool with m <= 10, below every one with m >= 11
 CROSS_METHOD_TOL = 1e-8
 TIE_TOL = 1e-9
 
@@ -264,27 +264,25 @@ def enumerate_linear_unicyclic(
     k: int,
     m: int,
     *,
-    allow_large: bool = False,
-    cap: int | None = None,
+    cap: int | None = DEFAULT_CAP,
 ) -> list[Hypergraph]:
     """All isomorphism classes of connected linear unicyclic k-uniform
     hypergraphs with m edges, as canonical representatives in canonical
     order.
 
-    Enumeration with m >= 7 must be opted into with allow_large; when the
-    pool would hold more than `cap` classes, CapExceededError is raised
-    before any class is built.
+    When the pool would hold more than `cap` classes (counted by
+    pool_size), CapExceededError is raised before any class is built;
+    cap=None lifts the cap.
     """
     if k < 3:
         raise ValueError("enumeration needs k >= 3")
     if m < 3:
         raise ValueError("no linear unicyclic hypergraph has fewer than 3 edges")
-    if m >= LARGE_POOL_THRESHOLD and not allow_large:
-        raise ValueError(
-            f"enumeration at m={m} is expensive; pass allow_large=True (or --allow-large)"
-        )
     if cap is not None and (size := pool_size(k, m)) > cap:
-        raise CapExceededError(f"class cap exceeded at m={m}: {size} > {cap}")
+        raise CapExceededError(
+            f"class cap exceeded at m={m}: {size} > {cap}; "
+            "pass a larger --cap, or --allow-large to lift it"
+        )
     beads = _Beads(k, m - 3)
     pool = [
         beads.build(seq) for g in range(3, m + 1) for seq in beads.necklaces(g, m - g)

@@ -302,12 +302,22 @@ def hypergraph_to_json(h: Hypergraph) -> str:
 
 
 def hypergraph_from_json(text: str) -> Hypergraph:
+    """Read {"k": int, "n": int, "edges": [[int, ...], ...]}.  k, n and every
+    vertex id must be JSON integers and every id lie in 0..n-1, so ids are
+    never renumbered; edges, and the ids within an edge, may be unsorted."""
     obj = json.loads(text)
     try:
-        h = make_hypergraph(int(obj["k"]), obj["edges"])
-        n = int(obj["n"])
+        k, n, edges = obj["k"], obj["n"], obj["edges"]
+        ids = [v for e in edges for v in e]
     except TypeError as exc:  # e.g. "edges": 5, or a JSON list at top level
         raise ValueError(f"malformed hypergraph JSON: {exc}") from None
+    for name, v in (("k", k), ("n", n)):
+        if type(v) is not int:  # not bool, float or str
+            raise ValueError(f"{name} must be a JSON integer, got {v!r}")
+    for v in ids:
+        if type(v) is not int or not 0 <= v < n:
+            raise ValueError(f"vertex id {v!r} is not an integer in 0..{n - 1}")
+    h = make_hypergraph(k, edges)
     if h.n != n:
         raise ValueError(f"vertex count {n} does not match edges (got {h.n})")
     return h

@@ -3,12 +3,12 @@
 The adjacency tensor of a k-uniform hypergraph has entry 1/(k-1)! on every
 index tuple that enumerates an edge, so applying it to a vector reduces to
 per-edge products: (A x^{k-1})_i = sum over edges e containing i of
-prod_{j in e, j != i} x_j.  The shifted iteration
+prod_{j in e, j != i} x_j.  The shifted iteration (Ng, Qi & Zhou 2009)
 
-    z = A x^{k-1} + shift * x^{[k-1]},   x <- z^{[1/(k-1)]} / max(z...)
+    z = A x^{k-1} + x^{[k-1]},   x <- z^{[1/(k-1)]} / max(z...)
 
 converges for every connected hypergraph (the shift makes the iteration
-primitive), and min_i z_i/x_i^{k-1} <= rho + shift <= max_i z_i/x_i^{k-1}
+primitive), and min_i z_i/x_i^{k-1} <= rho + 1 <= max_i z_i/x_i^{k-1}
 gives a certified enclosure at every step; iteration stops when the
 enclosure is narrower than the requested tolerance.  A simple graph is the
 case k = 2, where this is the shifted matrix power iteration.
@@ -49,6 +49,8 @@ __all__ = [
     "spectral_radius_power_formula",
 ]
 
+_SHIFT = 1.0  # any positive shift works; a large one loses rho to rounding
+
 
 class ConvergenceError(RuntimeError):
     """Raised when an iteration cannot reach its requested tolerance: the
@@ -60,15 +62,12 @@ class ConvergenceError(RuntimeError):
 class IterationOptions:
     tolerance: float = 1e-12
     max_iterations: int = 100000
-    shift: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (math.isfinite(self.shift) and self.shift >= 0):
-            raise ValueError("shift must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -210,14 +209,14 @@ def _iterate(
     for it in range(1, opts.max_iterations + 1):
         xk = xv ** power
         y = _adjacency_product(pad, slots, xp).reshape(xv.shape)
-        z = y + opts.shift * xk
+        z = y + xk  # _SHIFT * xk is xk exactly
         ratios = z / xk
         lo = ratios.min(axis=1).tolist()
         hi = ratios.max(axis=1).tolist()
         done = [b for b in range(len(rows)) if hi[b] - lo[b] < opts.tolerance]
         if done:
             for b in done:
-                rho = 0.5 * (lo[b] + hi[b]) - opts.shift
+                rho = 0.5 * (lo[b] + hi[b]) - _SHIFT
                 out[rows[b]] = SpectralResult(
                     rho=rho,
                     perron=tuple(float(v) for v in xv[b]),
@@ -232,8 +231,7 @@ def _iterate(
             edges = pad.reshape(len(rows), -1, pad.shape[1])[keep, :, 1:-1]
             pad, slots = _pad_edges(edges - (np.array(keep) * n)[:, None, None], n)
             rows = [rows[b] for b in keep]
-            lo = [lo[b] for b in keep]
-            hi = [hi[b] for b in keep]
+            lo, hi = [lo[b] for b in keep], [hi[b] for b in keep]
             z = z[keep]
             xp = np.ones(z.size + 1)
             xv = xp[:-1].reshape(z.shape)

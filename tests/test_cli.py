@@ -63,15 +63,31 @@ def test_rho_alpha_rejects_non_unicyclic_input(tmp_path, capsys, text):
     assert "P and O" in err
 
 
+BAD_JSON = {
+    "bad_json": '{"k": 3, "n": 3, "edges": 5}',
+    "k_float": '{"k": 3.7, "n": 5, "edges": [[0, 1, 2], [2, 3, 4]]}',
+    "id_float": '{"k": 3, "n": 5, "edges": [[0, 1, 2], [2, 3, 1.5]]}',
+    # read as n = 5 with id 9 renumbered to 4, this would misplace Perron entries
+    "id_out_of_range": '{"k": 3, "n": 5, "edges": [[0, 1, 2], [2, 3, 9]]}',
+    "n_string": '{"k": 3, "n": "5", "edges": [[0, 1, 2], [2, 3, 4]]}',
+    "id_bool": '{"k": 3, "n": 5, "edges": [[0, 1, 2], [2, 3, true]]}',
+    "id_negative": '{"k": 3, "n": 5, "edges": [[0, 1, 2], [2, 3, -1]]}',
+}
+
+
 @pytest.mark.parametrize(
     "argv,expected,message",
     [
         (("enumerate", "--k", "3", "--m", "5", "--cap", "2"), 2, "cap exceeded"),
         (("rho", "{bad_json}"), 2, "malformed hypergraph JSON"),
+        (("profile", "{k_float}"), 2, "k must be a JSON integer"),
+        (("profile", "{id_float}"), 2, "vertex id 1.5"),
+        (("profile", "{id_out_of_range}"), 2, "vertex id 9"),
+        (("profile", "{n_string}"), 2, "n must be a JSON integer"),
+        (("profile", "{id_bool}"), 2, "vertex id True"),
+        (("profile", "{id_negative}"), 2, "vertex id -1"),
         (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "1e-30"), 3, "bisection"),
         (("rank", "--k", "3", "--m", "5", "--max-iter", "3"), 3, "did not reach"),
-        (("rho", "{q6}", "--shift", "nan"), 2, "shift must be finite"),
-        (("rho", "{q6}", "--shift", "inf"), 2, "shift must be finite"),
         (("rho", "{q6}", "--tol", "inf"), 2, "tolerance must be finite"),
         (("rho", "{q6}", "--tol", "nan"), 2, "tolerance must be finite"),
         (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "0"), 2, "finite and positive"),
@@ -81,17 +97,21 @@ def test_rho_alpha_rejects_non_unicyclic_input(tmp_path, capsys, text):
         (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "inf"), 2,
          "finite and positive"),
     ],
-    ids=["enumerate-cap", "json-edges-not-a-list", "alpha-solve-unreachable-tol",
-         "rank-max-iter", "rho-shift-nan", "rho-shift-inf", "rho-tol-inf", "rho-tol-nan",
+    ids=["enumerate-cap", "json-edges-not-a-list", "json-k-float", "json-id-float",
+         "json-id-out-of-range", "json-n-string", "json-id-bool", "json-id-negative",
+         "alpha-solve-unreachable-tol",
+         "rank-max-iter", "rho-tol-inf", "rho-tol-nan",
          "alpha-solve-tol-zero", "alpha-solve-tol-negative", "alpha-solve-tol-nan",
          "alpha-solve-tol-inf"],
 )
 def test_error_exit_codes(tmp_path, capsys, argv, expected, message):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"k": 3, "n": 3, "edges": 5}\n')
-    q6 = tmp_path / "q6.json"
-    invoke(capsys, "build", "--family", "Q", "--k", "3", "--m", "6", "-o", str(q6))
-    code, _, err = invoke(capsys, *(a.format(bad_json=bad, q6=q6) for a in argv))
+    paths = {}
+    for name, text in BAD_JSON.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text + "\n")
+    paths["q6"] = tmp_path / "q6.json"
+    invoke(capsys, "build", "--family", "Q", "--k", "3", "--m", "6", "-o", str(paths["q6"]))
+    code, _, err = invoke(capsys, *(a.format(**paths) for a in argv))
     assert code == expected
     assert message in err
 
@@ -188,9 +208,23 @@ def test_enumerate_with_rho(capsys):
 
 
 def test_enumerate_large_requires_flag(capsys):
-    code, _, err = invoke(capsys, "enumerate", "--k", "3", "--m", "7")
+    code, _, err = invoke(capsys, "enumerate", "--k", "3", "--m", "11")
     assert code == 2
     assert "allow-large" in err or "allow_large" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("rho", "q6.json"), ("enumerate", "--k", "3", "--m", "4"),
+     ("rank", "--k", "3", "--m", "4"), ("verify", "--k", "3", "--m", "5")],
+    ids=["rho", "enumerate", "rank", "verify"],
+)
+def test_shift_flag_is_gone(capsys, argv):
+    # the shift is fixed at 1; a large one returned rho = 0 with exit 0
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--shift", "1e17"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --shift" in capsys.readouterr().err
 
 
 def test_rank_formats(capsys):
@@ -234,3 +268,96 @@ def test_verify_failure_exit_code(capsys):
     # an absurd tolerance makes every pass margin unreachable
     code, _, _ = invoke(capsys, "verify", "--k", "3", "--m", "5", "--tol", "0.5")
     assert code == 1
+
+
+def build(capsys, path, *spec):
+    code, _, _ = invoke(capsys, "build", *spec, "--k", "3", "-o", str(path))
+    assert code == 0
+    return str(path)
+
+
+def test_transform_relocate_pair_and_outputs(tmp_path, capsys):
+    from hyperspec import load_hypergraph, relocate
+    from hyperspec.hypergraph import hypergraph_from_json
+
+    host = build(capsys, tmp_path / "q5.json", "--family", "Q", "--m", "5")
+    attach = tmp_path / "edge.json"
+    attach.write_text('{"k": 3, "n": 3, "edges": [[0, 1, 2]]}\n')
+    argv = ("transform", "relocate", host, str(attach), "--v1", "0", "--v2", "1", "--u", "0")
+    expected = relocate(load_hypergraph(host), 0, 1, load_hypergraph(str(attach)), 0)
+    code, stdout, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert tuple(hypergraph_from_json(ln) for ln in stdout.splitlines()) == expected
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    code, again, _ = invoke(capsys, *argv, "-o", str(first), "--output2", str(second))
+    assert code == 0 and again == stdout
+    assert (load_hypergraph(str(first)), load_hypergraph(str(second))) == expected
+
+
+@pytest.mark.parametrize("fam", ["P", "O"])
+def test_alpha_emit_exact_families_are_normal(capsys, fam):
+    code, stdout, _ = invoke(capsys, "alpha", "emit", "--family", fam, "--m", "6", "--k", "3")
+    assert code == 0
+    assert json.loads(stdout.strip().splitlines()[-1])["mode"] == "normal"
+
+
+@pytest.mark.parametrize("fn", ["f_P", "f_O"])
+def test_alpha_eval_family_functions(capsys, fn):
+    from hyperspec import f_O, f_P
+
+    code, stdout, _ = invoke(capsys, "alpha", "eval", "--fn", fn, "--alpha", "0.2", "--r", "2")
+    assert code == 0
+    assert stdout == format({"f_P": f_P, "f_O": f_O}[fn](0.2, 2), ".17g") + "\n"
+    code, _, err = invoke(capsys, "alpha", "eval", "--fn", fn, "--alpha", "0.2")
+    assert code == 2
+    assert "needs --r" in err
+
+
+def test_rho_perron_vector(tmp_path, capsys):
+    q6 = build(capsys, tmp_path / "q6.json", "--family", "Q", "--m", "6")
+    code, stdout, _ = invoke(capsys, "rho", q6, "--perron")
+    assert code == 0
+    perron = json.loads(stdout)["perron"]
+    assert len(perron) == 12  # n = m (k - 1) for a unicyclic k-graph
+    assert max(perron) == 1.0 and min(perron) > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("profile", "{q6}"), ("rho", "{q6}"), ("rank", "--k", "3", "--m", "5", "--format", "csv")],
+    ids=["profile", "rho", "rank"],
+)
+def test_output_file_equals_stdout(tmp_path, capsys, argv):
+    q6 = build(capsys, tmp_path / "q6.json", "--family", "Q", "--m", "6")
+    argv = [a.format(q6=q6) for a in argv]
+    code, stdout, _ = invoke(capsys, *argv)
+    assert code == 0
+    out = tmp_path / "out.txt"
+    code, quiet, _ = invoke(capsys, *argv, "-o", str(out))
+    assert code == 0 and quiet == ""
+    assert out.read_text() == stdout
+
+
+def test_build_to_stdout(capsys):
+    from hyperspec import FamilySpec, family
+    from hyperspec.hypergraph import hypergraph_from_json
+
+    code, stdout, _ = invoke(capsys, "build", "--family", "Q", "--k", "3", "--m", "6")
+    assert code == 0
+    assert hypergraph_from_json(stdout) == family(FamilySpec(tag="Q", k=3, m=6))
+
+
+def test_rho_alpha_on_o_shape(tmp_path, capsys):
+    o6 = build(capsys, tmp_path / "o6.json", "--family", "O", "--m", "6")
+    code, via_alpha, _ = invoke(capsys, "rho", o6, "--method", "alpha")
+    assert code == 0
+    _, via_tensor, _ = invoke(capsys, "rho", o6)
+    assert json.loads(via_alpha)["method"] == "alpha-normal"
+    assert abs(json.loads(via_alpha)["rho"] - json.loads(via_tensor)["rho"]) <= 1e-8
+
+
+def test_rho_power_formula_rejects_non_power(tmp_path, capsys):
+    p5 = build(capsys, tmp_path / "p5.json", "--family", "P", "--m", "5")
+    code, _, err = invoke(capsys, "rho", p5, "--method", "power-formula")
+    assert code == 2
+    assert "not the power" in err

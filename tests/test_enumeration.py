@@ -108,8 +108,8 @@ def test_enumeration_domain_errors():
         enumerate_linear_unicyclic(3, 2)
     with pytest.raises(ValueError, match="k >= 3"):
         enumerate_linear_unicyclic(2, 4)
-    with pytest.raises(ValueError, match="allow_large"):
-        enumerate_linear_unicyclic(3, 7)
+    with pytest.raises(CapExceededError, match="allow-large"):
+        enumerate_linear_unicyclic(3, 11)  # 28627 classes, above DEFAULT_CAP
     with pytest.raises(RuntimeError, match="cap exceeded"):
         enumerate_linear_unicyclic(3, 5, cap=5)
 
@@ -120,11 +120,17 @@ def test_cap_is_checked_before_any_class_is_built(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_Beads", no_build)
     with pytest.raises(CapExceededError, match="cap exceeded at m=10: 7651 > 7650"):
-        enumerate_linear_unicyclic(3, 10, allow_large=True, cap=7650)
+        enumerate_linear_unicyclic(3, 10, cap=7650)
 
 
 def test_cap_equal_to_the_pool_size_is_allowed():
     assert len(enumerate_linear_unicyclic(3, 5, cap=11)) == 11
+
+
+def test_default_cap_admits_every_pool_up_to_m10_and_none_beyond():
+    for k in range(3, 13):
+        largest = max(pool_size(k, m) for m in range(3, 11))
+        assert largest <= enumeration.DEFAULT_CAP < pool_size(k, 11), k
 
 
 @pytest.mark.parametrize(
@@ -150,7 +156,7 @@ def test_pool_size_at_k2_counts_connected_unicyclic_graphs():
 @pytest.mark.parametrize("k", range(3, 9))
 def test_constructor_count_matches_pool_size(k):
     for m in range(3, 10 if k == 3 else 9):
-        assert len(enumerate_linear_unicyclic(k, m, allow_large=True)) == pool_size(k, m), m
+        assert len(enumerate_linear_unicyclic(k, m)) == pool_size(k, m), m
 
 
 def _pendant_growth(k, m):
@@ -173,7 +179,7 @@ def _pendant_growth(k, m):
 @pytest.mark.parametrize("k,m", [(3, 7), (4, 6), (5, 6)])
 def test_constructor_matches_pendant_growth(k, m):
     for j, expected in _pendant_growth(k, m).items():
-        pool = enumerate_linear_unicyclic(k, j, allow_large=True)
+        pool = enumerate_linear_unicyclic(k, j)
         forms = [canonical_form(h) for h in pool]
         assert len(forms) == len(set(forms)), j
         assert set(forms) == expected, j
@@ -298,7 +304,7 @@ def test_verify_suite_matches_pinned_instances():
 
 def test_third_place_at_m8_by_full_enumeration():
     """Enumerate everything at m=8 and confirm the third-ranked class."""
-    pool = enumerate_linear_unicyclic(3, 8, allow_large=True)
+    pool = enumerate_linear_unicyclic(3, 8)
     entries = rank_by_rho(pool, IterationOptions(tolerance=1e-10))
     s83 = canonical_form(family(FamilySpec(tag="S", k=3, m=8, g=3))).decode()
     t18 = canonical_form(family(FamilySpec(tag="T1", k=3, m=8))).decode()

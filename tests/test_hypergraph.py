@@ -262,6 +262,11 @@ def test_json_vertex_count_mismatch_rejected():
         hypergraph_from_json('{"k": 3, "n": 7, "edges": [[0, 1, 2]]}')
 
 
+def test_json_accepts_unsorted_edges_and_keeps_ids():
+    h = hypergraph_from_json('{"k": 3, "n": 5, "edges": [[4, 3, 2], [2, 0, 1]]}')
+    assert h.edges == ((0, 1, 2), (2, 3, 4))
+
+
 def test_power_base_reconstructs_power_families():
     for tag, m, g in [("S", 6, 3), ("T1", 6, None), ("U1", 6, None),
                       ("Hyperstar", 4, None), ("CyclePower", 5, 5)]:
