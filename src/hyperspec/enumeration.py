@@ -87,34 +87,30 @@ def _at(a: list[int], d: int) -> list[int]:
     return out
 
 
-def _power(a: list[int], e: int) -> list[int]:
-    out = [1] + [0] * (len(a) - 1)
-    for _ in range(e):
-        out = _mul(out, a)
-    return out
+def _rooted(k: int, m: int) -> tuple[list[int], list[int]]:
+    """Rooted trees, and edges with a rooted tree on k-2 of their vertices,
+    counted by edges up to x^m.
 
-
-def _symmetric(a: list[int], r: int) -> list[int]:
-    """Z(S_r; a): multisets of r objects counted by a, through
-    r Z(S_r) = sum_j a(x^j) Z(S_{r-j})."""
-    z = [[1] + [0] * (len(a) - 1)]
-    for i in range(1, r + 1):
-        acc = [0] * len(a)
-        for j in range(1, i + 1):
-            for t, c in enumerate(_mul(_at(a, j), z[i - j])):
-                acc[t] += c
-        z.append([c // i for c in acc])  # exact: i Z(S_i) has integer terms
-    return z[r]
-
-
-def _euler(b: list[int]) -> list[int]:
-    """Multisets of objects counted by b (b[0] == 0): n r_n = sum_j c_j r_{n-j}
-    with c_j = sum_{d | j} d b_d."""
-    c = [sum(d * b[d] for d in range(1, j + 1) if j % d == 0) for j in range(len(b))]
-    r = [1] + [0] * (len(b) - 1)
-    for n in range(1, len(b)):
+    A rooted tree is a multiset of branches, and a branch is an edge at the
+    root with a tree on each of its k-1 other vertices: r = Euler(b) with
+    b = x Z(S_{k-1}; r).  Coefficient n of r needs only b_1..b_n, and b_n
+    only r_0..r_{n-1}, so the series grows one coefficient at a time:
+    z[i][t] = [x^t] Z(S_i; r) through i Z(S_i) = sum_j r(x^j) Z(S_{i-j}),
+    and n r_n = sum_j c_j r_{n-j} with c_j = sum_{d | j} d b_d.
+    """
+    r = [1] + [0] * m
+    z = [[1] + [0] * m] + [[0] * (m + 1) for _ in range(k - 1)]
+    c = [0] * (m + 1)
+    for n in range(1, m + 1):
+        t = n - 1
+        for i in range(1, k):  # exact: i Z(S_i) has integer terms
+            z[i][t] = sum(
+                r[s] * z[i - j][t - j * s] for j in range(1, i + 1) for s in range(t // j + 1)
+            ) // i
+        for j in range(n, m + 1, n):
+            c[j] += n * z[k - 1][t]  # n b_n
         r[n] = sum(c[j] * r[n - j] for j in range(1, n + 1)) // n
-    return r
+    return r, [0] + z[k - 2][:m]
 
 
 def _phi(d: int) -> int:
@@ -128,28 +124,31 @@ def pool_size(k: int, m: int) -> int:
         raise ValueError("uniformity k must be >= 2")
     if m < 3:
         return 0
-    x = [0, 1] + [0] * (m - 1)
-    rooted = [1] + [0] * m
-    for _ in range(m):  # each pass fixes one more coefficient
-        rooted = _euler(_mul(x, _symmetric(rooted, k - 1)))
-    edge = _mul(x, _symmetric(rooted, k - 2))
+    rooted, edge = _rooted(k, m)
     bead = _mul(rooted, edge)
     r2, e2 = _at(rooted, 2), _at(edge, 2)
+    pair = _mul(r2, e2)
+    bead_pow, pair_pow = [[1] + [0] * m], [[1] + [0] * m]  # bead^e, pair^e
+    for _ in range(m):
+        bead_pow.append(_mul(bead_pow[-1], bead))
+        pair_pow.append(_mul(pair_pow[-1], pair))
+    axes = [a + b for a, b in zip(_mul(_mul(rooted, rooted), e2), _mul(_mul(edge, edge), r2))]
     total = 0
     for g in range(3, m + 1):
+        # bead(x^d)^(g/d) has x^m coefficient bead^(g/d)[m/d], or 0 if d does not divide m
         fixed = sum(
-            _phi(d) * _power(_at(bead, d), g // d)[m]
-            for d in range(1, g + 1) if g % d == 0
+            _phi(d) * bead_pow[g // d][m // d]
+            for d in range(1, g + 1) if g % d == 0 and m % d == 0
         )
         # a reflection's axis runs through a vertex and the opposite edge (odd
-        # g), or through two opposite vertices or two opposite edges (even g)
+        # g: g axes, each fixing bead pair^((g-1)/2)), or through two opposite
+        # vertices or two opposite edges (even g: g/2 of each, fixing
+        # rooted^2 e2 pair^(g/2-1) and edge^2 r2 pair^(g/2-1))
         if g % 2:
-            fixed += g * _mul(bead, _power(_mul(r2, e2), (g - 1) // 2))[m]
+            axis, side = g, _mul(bead, pair_pow[(g - 1) // 2])
         else:
-            half = g // 2
-            vertex_axis = _mul(_power(rooted, 2), _mul(_power(r2, half - 1), _power(e2, half)))
-            edge_axis = _mul(_power(edge, 2), _mul(_power(e2, half - 1), _power(r2, half)))
-            fixed += half * (vertex_axis[m] + edge_axis[m])
+            axis, side = g // 2, _mul(axes, pair_pow[g // 2 - 1])
+        fixed += axis * side[m]
         total += fixed // (2 * g)
     return total
 

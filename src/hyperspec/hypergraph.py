@@ -330,6 +330,8 @@ def hypergraph_to_text(h: Hypergraph) -> str:
 
 
 def hypergraph_from_text(text: str) -> Hypergraph:
+    """Read a 'k m' line and then m edge lines of k ids.  The ids must be
+    exactly 0..n-1, as in the JSON format, so they are never renumbered."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty hypergraph file")
@@ -339,7 +341,13 @@ def hypergraph_from_text(text: str) -> Hypergraph:
     k, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
-    return make_hypergraph(k, [[int(x) for x in ln.split()] for ln in lines[1:]])
+    edges = [[int(x) for x in ln.split()] for ln in lines[1:]]
+    ids = {v for e in edges for v in e}
+    if ids != set(range(len(ids))):
+        raise ValueError(
+            f"vertex ids must be exactly 0..n-1, got {len(ids)} ids from {min(ids)} to {max(ids)}"
+        )
+    return make_hypergraph(k, edges)
 
 
 def save_hypergraph(h: Hypergraph, path: str) -> None:

@@ -15,16 +15,17 @@ case k = 2, where this is the shifted matrix power iteration.
 
 The iteration runs on a batch: B hypergraphs of one shape (k, n, m) share
 one flat vector, graph b's vertex v at entry b*n + v, so one bincount
-applies every adjacency tensor at once.  Each edge is padded at both ends
-with an extra entry that holds 1.0, so the product of the other k-1
-entries at a slot is the prefix product before it times the suffix product
-after it, with no special case at the ends and few array operations per
-sweep, which is what a sweep on a small graph costs.  Each graph keeps its
-own enclosure, the min and max of its own quotients z_i/x_i^{k-1}, and
-retires when that enclosure is narrower than the tolerance; the batch is
-then compacted.  Every operation on a graph's entries is the one a
-one-graph loop would do, in the same order, so a result does not depend on
-the batch it ran in.  spectral_radii_tensor batches a list by shape, and
+applies every adjacency tensor at once.  The edges are stored by column,
+row j of a (k, B*m) array holding slot j of every edge, so the product of
+the other k-1 entries at a slot (the prefix product before it times the
+suffix product after it) takes k-2 whole-row multiplies per side, with no
+padding entry.  The products land in an edge-major buffer, so bincount
+sums each vertex's terms edge by edge.  Each graph keeps its own
+enclosure, the min and max of its own quotients z_i/x_i^{k-1}, and retires
+when that enclosure is narrower than the tolerance; the batch is then
+compacted.  Every operation on a graph's entries is the one a one-graph
+loop would do, in the same order, so a result does not depend on the batch
+it ran in.  spectral_radii_tensor batches a list by shape, and
 spectral_radius_tensor is the batch of one.
 """
 
@@ -96,30 +97,33 @@ class SpectralResult:
         return out
 
 
-def _pad_edges(edge_lists, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat edge arrays for a (B, m, k) batch of edge lists on n vertices.
-
-    Graph b's vertex v is entry b*n + v of a flat vector whose extra last
-    entry, B*n, holds 1.0.  Returns the (B*m, k+2) edges with that entry
-    padded on at both ends, and the raveled (B*m*k,) vertex entries.
-    """
+def _edge_columns(edge_lists, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For a (B, m, k) batch of edge lists on n vertices, with graph b's
+    vertex v at flat entry b*n + v: the (k, B*m) columns, row j holding slot
+    j of every edge, and the (B*m*k,) vertex entries edge by edge."""
     idx = np.asarray(edge_lists, dtype=np.intp)
     b, m, k = idx.shape
-    pad = np.full((b * m, k + 2), b * n, dtype=np.intp)
-    pad[:, 1:-1] = (idx + (np.arange(b) * n)[:, None, None]).reshape(b * m, k)
-    return pad, pad[:, 1:-1].ravel()
+    flat = (idx + (np.arange(b) * n)[:, None, None]).reshape(b * m, k)
+    return np.ascontiguousarray(flat.T), flat.ravel()
 
 
-def _adjacency_product(pad: np.ndarray, slots: np.ndarray, xp: np.ndarray) -> np.ndarray:
-    """A x^{k-1} on _pad_edges arrays, with xp the flat vector plus its 1.0:
-    per edge and slot the product of the other k-1 entries, as the prefix
-    product before the slot times the suffix product after it, summed onto
-    the slot's vertex."""
-    k = pad.shape[1] - 2
-    big = xp[pad]  # 1, x_0, ..., x_{k-1}, 1 per edge
-    excl = big[:, :k].cumprod(axis=1)
-    excl *= big[:, :1:-1].cumprod(axis=1)[:, ::-1]
-    return np.bincount(slots, weights=excl.ravel(), minlength=xp.shape[0] - 1)
+def _adjacency_product(cols: np.ndarray, slots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x^{k-1} on _edge_columns arrays and the flat vector x: per edge and
+    slot, the prefix product before the slot times the suffix product after
+    it, summed onto the slot's vertex edge by edge."""
+    k = cols.shape[0]
+    g = x[cols]  # row j: the entry at slot j of every edge
+    excl = np.empty(cols.shape[::-1])  # edge-major, like slots
+    excl[:, 1] = pre = g[0]
+    for j in range(2, k):
+        pre = pre * g[j - 1]  # x_0 ... x_{j-1}
+        excl[:, j] = pre
+    suf = g[k - 1]
+    for j in range(k - 2, 0, -1):
+        excl[:, j] *= suf
+        suf = suf * g[j]  # x_j ... x_{k-1}
+    excl[:, 0] = suf
+    return np.bincount(slots, weights=excl.ravel(), minlength=x.shape[0])
 
 
 def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
@@ -129,7 +133,7 @@ def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
         raise ValueError(f"vector length {x.shape} does not match n={h.n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("vector entries must be finite")
-    return _adjacency_product(*_pad_edges([h.edges], h.n), np.append(x, 1.0))
+    return _adjacency_product(*_edge_columns([h.edges], h.n), x)
 
 
 def rayleigh(h: Hypergraph, x) -> float:
@@ -193,22 +197,19 @@ def _iterate(
     the all-ones vector or from `start` (n entries, maximum 1); labels name
     the inputs in a ConvergenceError.
 
-    The iterate lives in the padded vector of _pad_edges, so one bincount
-    applies every adjacency tensor at once.  A graph retires when its own
-    enclosure is narrower than the tolerance, and the batch is then
-    compacted, so a converged graph costs nothing.
+    A graph retires when its own enclosure is narrower than the tolerance,
+    and the batch is then compacted, so a converged graph costs nothing.
     """
     n, power = hs[0].n, hs[0].k - 1
     out: dict[int, SpectralResult] = {}
     rows = list(range(len(hs)))  # batch row -> index into hs
-    pad, slots = _pad_edges([h.edges for h in hs], n)
-    xp = np.ones(len(hs) * n + 1)
-    xv = xp[:-1].reshape(len(hs), n)  # the iterate, one row per graph
+    cols, slots = _edge_columns([h.edges for h in hs], n)
+    xv = np.ones((len(hs), n))  # the iterate, one row per graph
     if start is not None:
         xv[:] = start
     for it in range(1, opts.max_iterations + 1):
         xk = xv ** power
-        y = _adjacency_product(pad, slots, xp).reshape(xv.shape)
+        y = _adjacency_product(cols, slots, xv.ravel()).reshape(xv.shape)
         z = y + xk  # _SHIFT * xk is xk exactly
         ratios = z / xk
         lo = ratios.min(axis=1).tolist()
@@ -228,15 +229,14 @@ def _iterate(
                 return [out[r] for r in range(len(hs))]
             keep = [b for b in range(len(rows)) if not hi[b] - lo[b] < opts.tolerance]
             # the kept graphs' edges, shifted back to vertices 0..n-1
-            edges = pad.reshape(len(rows), -1, pad.shape[1])[keep, :, 1:-1]
-            pad, slots = _pad_edges(edges - (np.array(keep) * n)[:, None, None], n)
+            edges = cols.reshape(power + 1, len(rows), -1)[:, keep]
+            edges -= (np.array(keep) * n)[:, None]
+            cols, slots = _edge_columns(edges.transpose(1, 2, 0), n)
             rows = [rows[b] for b in keep]
             lo, hi = [lo[b] for b in keep], [hi[b] for b in keep]
             z = z[keep]
-            xp = np.ones(z.size + 1)
-            xv = xp[:-1].reshape(z.shape)
         x = z ** (1.0 / power)
-        np.divide(x, x.max(axis=1, keepdims=True), out=xv)
+        xv = x / x.max(axis=1, keepdims=True)
     raise ConvergenceError(
         f"tensor iteration did not reach tolerance {opts.tolerance} in "
         f"{opts.max_iterations} iterations for input {labels[rows[0]]} "

@@ -1,10 +1,27 @@
-"""Test-only utilities: brute-force isomorphism and relabeling."""
+"""Test-only utilities: brute-force isomorphism, relabeling and random
+linear unicyclic hypergraphs."""
+
+import numpy as np
 
 from hyperspec import Hypergraph, make_hypergraph
 
 
 def relabel(h: Hypergraph, perm: list[int]) -> Hypergraph:
     return make_hypergraph(h.k, [[perm[v] for v in e] for e in h.edges])
+
+
+def random_unicyclic(k: int, m: int, rng: np.random.Generator) -> Hypergraph:
+    """A linear unicyclic k-graph with m edges: the k-th power of a cycle of
+    length 3..7, then pendant edges, each at a uniformly random vertex
+    present when it is added, with k-1 new vertices; ids shuffled."""
+    g = int(rng.integers(3, 8))
+    n = g * (k - 1)
+    edges = [[i, (i + 1) % g, *range(g + i * (k - 2), g + (i + 1) * (k - 2))] for i in range(g)]
+    for _ in range(m - g):
+        edges.append([int(rng.integers(n)), *range(n, n + k - 1)])
+        n += k - 1
+    perm = rng.permutation(n).tolist()
+    return relabel(make_hypergraph(k, edges), perm)
 
 
 def brute_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:

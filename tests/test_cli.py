@@ -63,7 +63,7 @@ def test_rho_alpha_rejects_non_unicyclic_input(tmp_path, capsys, text):
     assert "P and O" in err
 
 
-BAD_JSON = {
+BAD_FILES = {
     "bad_json": '{"k": 3, "n": 3, "edges": 5}',
     "k_float": '{"k": 3.7, "n": 5, "edges": [[0, 1, 2], [2, 3, 4]]}',
     "id_float": '{"k": 3, "n": 5, "edges": [[0, 1, 2], [2, 3, 1.5]]}',
@@ -72,6 +72,8 @@ BAD_JSON = {
     "n_string": '{"k": 3, "n": "5", "edges": [[0, 1, 2], [2, 3, 4]]}',
     "id_bool": '{"k": 3, "n": 5, "edges": [[0, 1, 2], [2, 3, true]]}',
     "id_negative": '{"k": 3, "n": 5, "edges": [[0, 1, 2], [2, 3, -1]]}',
+    # the text format has no n; read with ids compacted, 9 would become 4
+    "text_id_gap": "3 2\n0 1 2\n2 3 9",
 }
 
 
@@ -86,6 +88,7 @@ BAD_JSON = {
         (("profile", "{n_string}"), 2, "n must be a JSON integer"),
         (("profile", "{id_bool}"), 2, "vertex id True"),
         (("profile", "{id_negative}"), 2, "vertex id -1"),
+        (("rho", "{text_id_gap}", "--perron"), 2, "ids from 0 to 9"),
         (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "1e-30"), 3, "bisection"),
         (("rank", "--k", "3", "--m", "5", "--max-iter", "3"), 3, "did not reach"),
         (("rho", "{q6}", "--tol", "inf"), 2, "tolerance must be finite"),
@@ -99,6 +102,7 @@ BAD_JSON = {
     ],
     ids=["enumerate-cap", "json-edges-not-a-list", "json-k-float", "json-id-float",
          "json-id-out-of-range", "json-n-string", "json-id-bool", "json-id-negative",
+         "text-id-gap",
          "alpha-solve-unreachable-tol",
          "rank-max-iter", "rho-tol-inf", "rho-tol-nan",
          "alpha-solve-tol-zero", "alpha-solve-tol-negative", "alpha-solve-tol-nan",
@@ -106,8 +110,8 @@ BAD_JSON = {
 )
 def test_error_exit_codes(tmp_path, capsys, argv, expected, message):
     paths = {}
-    for name, text in BAD_JSON.items():
-        paths[name] = tmp_path / f"{name}.json"
+    for name, text in BAD_FILES.items():
+        paths[name] = tmp_path / (f"{name}.json" if text.startswith("{") else f"{name}.txt")
         paths[name].write_text(text + "\n")
     paths["q6"] = tmp_path / "q6.json"
     invoke(capsys, "build", "--family", "Q", "--k", "3", "--m", "6", "-o", str(paths["q6"]))

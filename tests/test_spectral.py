@@ -29,6 +29,8 @@ from hyperspec import (
 )
 from hyperspec.spectral import _SHIFT
 
+from helpers import random_unicyclic
+
 RHO_PAW = 2.170086486626034  # root of det(x*I - A) for the triangle-plus-leaf graph
 
 
@@ -306,6 +308,21 @@ def test_apply_matches_reference_product_exactly():
         for _ in range(10):
             x = rng.uniform(0.01, 3.0, h.n)
             assert np.array_equal(apply_adjacency(h, x), reference_product(h, x)), h.k
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_apply_matches_reference_product_exactly_on_large_graphs(k):
+    rng = np.random.default_rng([2000, k])
+    h = random_unicyclic(k, 2000, rng)
+    assert h.is_linear and h.is_connected and h.n == h.m * (k - 1)
+    for _ in range(3):
+        x = rng.uniform(0.01, 3.0, h.n)
+        assert np.array_equal(apply_adjacency(h, x), reference_product(h, x))
+
+
+def test_large_graph_radius_is_bit_identical_to_serial_reference():
+    h = random_unicyclic(4, 500, np.random.default_rng(500))
+    assert spectral_radius_tensor(h) == serial_reference(h)
 
 
 @pytest.mark.parametrize("k,m", [(3, 7), (4, 6), (5, 5)])
