@@ -40,7 +40,7 @@ from .enumeration import (
     rank_by_rho,
     verify_suite,
 )
-from .families import FamilySpec, family
+from .families import FAMILY_TAGS, FamilySpec, family
 from .hypergraph import (
     hypergraph_to_json,
     load_hypergraph,
@@ -355,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="write a family hypergraph to a file")
-    p.add_argument("--family", required=True,
-                   choices=["Hyperstar", "CyclePower", "S", "T1", "T2", "U1", "O", "P", "Q"])
+    p.add_argument("--family", required=True, choices=FAMILY_TAGS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--g", type=int, default=None)

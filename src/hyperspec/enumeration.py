@@ -29,21 +29,15 @@ dihedral group of each girth gives the number of necklaces.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache
 from itertools import product
 from math import gcd
 
 from .alpha_normal import rho_from_alpha, solve_alpha_O, solve_alpha_P
 from .canonical import canonical_form, canonical_id, canonicalize, encode_canonical
-from .families import FamilySpec, family, simple_family_graph
+from .families import _POWER_TAGS, FamilySpec, family, simple_family_graph
 from .hypergraph import Hypergraph
-from .spectral import (
-    IterationOptions,
-    SpectralResult,
-    spectral_radii_tensor,
-    spectral_radius_power_formula,
-    spectral_radius_tensor,
-)
+from .spectral import IterationOptions, SpectralResult, spectral_radii_tensor
 
 __all__ = [
     "CapExceededError",
@@ -376,35 +370,6 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
-class _FamilyValue:
-    label: str
-    hypergraph: Hypergraph
-    rho: float  # tensor iteration
-    cross: float | None  # the independent second route, where one exists
-    cross_kind: str | None
-
-    @cached_property
-    def form(self) -> bytes:
-        return canonical_form(self.hypergraph)
-
-
-def _family_value(tag: str, k: int, m: int, g: int | None, opts: IterationOptions) -> _FamilyValue:
-    """A family member's spectral radius, with its exact alpha labeling (P
-    and O) or power shortcut (the power families) as a second route."""
-    h = family(FamilySpec(tag=tag, k=k, m=m, g=g))
-    cross: float | None = None
-    kind: str | None = None
-    if tag in ("Hyperstar", "CyclePower", "S", "T1", "T2", "U1"):
-        cross = spectral_radius_power_formula(simple_family_graph(tag, m, g), k, opts)
-        kind = "power-formula"
-    elif tag in ("P", "O"):
-        cross = rho_from_alpha((solve_alpha_P if tag == "P" else solve_alpha_O)(m - 4), k)
-        kind = "alpha-normal"
-    label = f"{tag}(m={m})" if g is None else f"{tag}(m={m},g={g})"
-    return _FamilyValue(label, h, spectral_radius_tensor(h, opts).rho, cross, kind)
-
-
 def verify_suite(
     k: int,
     m_lo: int,
@@ -413,60 +378,55 @@ def verify_suite(
 ) -> list[VerificationReport]:
     """Evaluate the spectral-order inequalities on every m in [m_lo, m_hi].
 
-    Each claim is one row of a table: its id, description, the least m in
-    its domain, and the instances it checks at one m.  Every inequality
-    instance is built by the local `check`, which holds the pass rule: the
-    strict gap rhs - lhs must exceed 10x the iteration tolerance.
-    Instances below a claim's domain are marked "na" and never counted as
-    passes.  A cross-method agreement claim covers every family value
-    computed along the way and passes when the two routes differ by at
+    Each claim is one row of a table: its id, description, the least m of
+    its domain, and, for one m, the (detail, lhs key, rhs key) triples it
+    checks.  A key is (tag, m, g) for a family member, or ("alpha-bound",
+    m, None) for the exact alpha value of P.  Every radius is then read
+    from one batched solve: one tensor iteration over all family members
+    read (members of one m share a shape), one over the power families'
+    base graphs, raised to 2/k, and the exact alpha labelings of P and O.
+    Every inequality instance is built by the local `check`, which holds
+    the pass rule: the strict gap rhs - lhs must exceed 10x the iteration
+    tolerance.  Instances below a claim's domain are marked "na" and never
+    counted as passes.  A cross-method agreement claim covers every family
+    member read along the way and passes when the two routes differ by at
     most CROSS_METHOD_TOL.
     """
     if m_lo > m_hi:
         raise ValueError("empty m range")
     opts = opts or IterationOptions(tolerance=1e-10)
     tol = opts.tolerance
-    values: dict[tuple, _FamilyValue] = {}
+    graphs: dict[tuple, Hypergraph] = {}  # every family member a claim reads
 
-    def value(tag: str, m: int, g: int | None = None) -> _FamilyValue:
-        key = (tag, k, m, g)
-        if key not in values:
-            values[key] = _family_value(tag, k, m, g, opts)
-        return values[key]
+    def member(tag: str, m: int, g: int | None = None) -> tuple:
+        key = (tag, m, g)
+        if key not in graphs:
+            graphs[key] = family(FamilySpec(tag=tag, k=k, m=m, g=g))
+        return key
 
-    def check(m: int, detail: str, lhs_label: str, lhs: float, rhs_label: str,
-              rhs: float) -> InstanceCheck:
-        gap = rhs - lhs
-        return InstanceCheck(k, m, detail, lhs_label, rhs_label, lhs, rhs, gap, tol,
-                             "pass" if gap > 10.0 * tol else "fail")
-
-    def below(m: int, detail: str, lo: _FamilyValue, hi: _FamilyValue) -> InstanceCheck:
-        return check(m, detail, lo.label, lo.rho, hi.label, hi.rho)
+    @cache
+    def shape(key: tuple) -> bytes:
+        return canonical_form(graphs[key])
 
     def pair(lhs: str, rhs: str, lhs_g: int | None = None):
-        return lambda m: [below(m, "", value(lhs, m, lhs_g), value(rhs, m))]
+        return lambda m: [("", member(lhs, m, lhs_g), member(rhs, m))]
 
-    def girth_steps(m: int) -> list[InstanceCheck]:
-        return [below(m, f"g={g}", value("S", m, g), value("S", m, g - 1))
-                for g in range(4, m + 1)]
-
-    def alpha_bound(m: int) -> list[InstanceCheck]:
-        q = value("Q", m)
-        bound = rho_from_alpha(solve_alpha_P(m - 4), k)
-        return [check(m, "", f"alpha-bound(m={m})", bound, q.label, q.rho)]
+    def girth_steps(m: int) -> list[tuple]:
+        return [(f"g={g}", member("S", m, g), member("S", m, g - 1)) for g in range(4, m + 1)]
 
     def placement(*winners: str):
-        # coincident shapes are excluded by canonical form
-        def rows(m: int) -> list[InstanceCheck]:
-            pool = [value("S", m, g) for g in range(3, m + 1)]
-            pool += [value(tag, m) for tag in ("T1", "O", "T2", "U1", "P", "Q")]
-            chain = [value("S", m, 3)] + [value(tag, m) for tag in winners]
-            skip = {v.form for v in chain}
-            out = [below(m, "order", lo, hi) for hi, lo in zip(chain, chain[1:])]
-            return out + [below(m, "pool", v, chain[-1]) for v in pool if v.form not in skip]
+        # coincident shapes are excluded by canonical form; the cross-method claim
+        # still covers them, as every member read here is solved
+        def rows(m: int) -> list[tuple]:
+            pool = [member("S", m, g) for g in range(3, m + 1)]
+            pool += [member(tag, m) for tag in ("T1", "O", "T2", "U1", "P", "Q")]
+            chain = [member("S", m, 3)] + [member(tag, m) for tag in winners]
+            skip = {shape(key) for key in chain}
+            out = [("order", lo, hi) for hi, lo in zip(chain, chain[1:])]
+            return out + [("pool", key, chain[-1]) for key in pool if shape(key) not in skip]
         return rows
 
-    # (claim id, description, least m of the domain, instances at one m)
+    # (claim id, description, least m of the domain, triples at one m)
     claims = [
         ("Q<T1", "pendant edge on a hub cycle edge loses to a pendant at a degree-2 cycle vertex",
          5, pair("Q", "T1")),
@@ -484,7 +444,7 @@ def verify_suite(
          4, girth_steps),
         ("Q-above-alpha-bound",
          "rho(Q) strictly exceeds the exact alpha value of P (slack certificate)",
-         5, alpha_bound),
+         5, lambda m: [("", ("alpha-bound", m, None), member("Q", m))]),
         ("T1-second-in-family-pool",
          "among the named families, T1 is strictly second behind S(m,3)",
          5, placement("T1")),
@@ -492,24 +452,49 @@ def verify_suite(
          "among the named families, Q is strictly third behind S(m,3) and T1",
          8, placement("T1", "Q")),
     ]
+    table = [(claim, desc, [(m, rows(m) if m >= dom else None) for m in range(m_lo, m_hi + 1)])
+             for claim, desc, dom, rows in claims]
+
+    def alpha(tag: str, m: int) -> float:
+        return rho_from_alpha((solve_alpha_P if tag == "P" else solve_alpha_O)(m - 4), k)
+
+    # one batched solve: the family members, then the power families' base graphs
+    solved = spectral_radii_tensor(list(graphs.values()), opts)
+    rho = {key: res.rho for key, res in zip(graphs, solved)}
+    powers = [key for key in graphs if key[0] in _POWER_TAGS]
+    bases = spectral_radii_tensor([simple_family_graph(*key) for key in powers], opts)
+    cross = {key: ("power-formula", res.rho ** (2.0 / k)) for key, res in zip(powers, bases)}
+    cross.update(
+        (key, ("alpha-normal", alpha(*key[:2]))) for key in graphs if key[0] in ("P", "O")
+    )
+
+    def label(key: tuple) -> str:
+        tag, m, g = key
+        return f"{tag}(m={m})" if g is None else f"{tag}(m={m},g={g})"
+
+    def check(m: int, detail: str, lhs_key: tuple, rhs_key: tuple) -> InstanceCheck:
+        lhs = alpha("P", m) if lhs_key[0] == "alpha-bound" else rho[lhs_key]
+        rhs = rho[rhs_key]
+        gap = rhs - lhs
+        return InstanceCheck(k, m, detail, label(lhs_key), label(rhs_key), lhs, rhs, gap, tol,
+                             "pass" if gap > 10.0 * tol else "fail")
+
     reports = []
-    for claim, desc, dom, rows in claims:
+    for claim, desc, rows in table:
         instances = []
-        for m in range(m_lo, m_hi + 1):
-            instances += rows(m) if m >= dom else [
+        for m, triples in rows:
+            instances += [check(m, *t) for t in triples] if triples is not None else [
                 InstanceCheck(k, m, "", "", "", None, None, None, tol, "na")
             ]
         reports.append(_finish(claim, desc, instances))
 
     instances = []
-    for key in sorted(values, key=repr):
-        val = values[key]
-        if val.cross is None:
-            continue
-        diff = abs(val.rho - val.cross)
+    for key in sorted(cross, key=repr):  # k is fixed, so this is the order of (tag, k, m, g)
+        kind, value = cross[key]
+        diff = abs(rho[key] - value)
         instances.append(InstanceCheck(
-            k, val.hypergraph.m, val.cross_kind, f"|tensor-{val.cross_kind}| {val.label}",
-            f"{CROSS_METHOD_TOL}", diff, CROSS_METHOD_TOL, CROSS_METHOD_TOL - diff, tol,
+            k, key[1], kind, f"|tensor-{kind}| {label(key)}", f"{CROSS_METHOD_TOL}", diff,
+            CROSS_METHOD_TOL, CROSS_METHOD_TOL - diff, tol,
             "pass" if diff <= CROSS_METHOD_TOL else "fail",
         ))
     reports.append(_finish(

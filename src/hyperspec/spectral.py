@@ -148,22 +148,13 @@ def rayleigh(h: Hypergraph, x) -> float:
 def spectral_radius_tensor(
     h: Hypergraph,
     opts: IterationOptions | None = None,
-    start=None,
 ) -> SpectralResult:
-    """Largest H-eigenvalue and Perron vector of a connected hypergraph.
-
-    `start` (a positive vector) is exposed for invariance tests; the
-    default all-ones start makes runs deterministic.
-    """
+    """Largest H-eigenvalue and Perron vector of a connected hypergraph,
+    iterated from the all-ones vector, so runs are deterministic."""
     opts = opts or IterationOptions()
     if not h.is_connected:
         raise ValueError("hypergraph is not connected")
-    if start is not None:
-        start = np.asarray(start, dtype=float)
-        if start.shape != (h.n,) or not np.all(start > 0):
-            raise ValueError("start vector must be positive of length n")
-        start = start / start.max()
-    return _iterate([h], opts, [0], start)[0]
+    return _iterate([h], opts, [0])[0]
 
 
 def spectral_radii_tensor(
@@ -191,11 +182,9 @@ def _iterate(
     hs: Sequence[Hypergraph],
     opts: IterationOptions,
     labels: Sequence[int],
-    start: np.ndarray | None = None,
 ) -> list[SpectralResult]:
     """The shifted iteration on a batch of hypergraphs of one shape, from
-    the all-ones vector or from `start` (n entries, maximum 1); labels name
-    the inputs in a ConvergenceError.
+    the all-ones vector; labels name the inputs in a ConvergenceError.
 
     A graph retires when its own enclosure is narrower than the tolerance,
     and the batch is then compacted, so a converged graph costs nothing.
@@ -205,8 +194,6 @@ def _iterate(
     rows = list(range(len(hs)))  # batch row -> index into hs
     cols, slots = _edge_columns([h.edges for h in hs], n)
     xv = np.ones((len(hs), n))  # the iterate, one row per graph
-    if start is not None:
-        xv[:] = start
     for it in range(1, opts.max_iterations + 1):
         xk = xv ** power
         y = _adjacency_product(cols, slots, xv.ravel()).reshape(xv.shape)

@@ -91,6 +91,7 @@ BAD_FILES = {
         (("rho", "{text_id_gap}", "--perron"), 2, "ids from 0 to 9"),
         (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "1e-30"), 3, "bisection"),
         (("rank", "--k", "3", "--m", "5", "--max-iter", "3"), 3, "did not reach"),
+        (("verify", "--k", "3", "--m", "5", "--max-iter", "3"), 3, "did not reach"),
         (("rho", "{q6}", "--tol", "inf"), 2, "tolerance must be finite"),
         (("rho", "{q6}", "--tol", "nan"), 2, "tolerance must be finite"),
         (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "0"), 2, "finite and positive"),
@@ -104,7 +105,7 @@ BAD_FILES = {
          "json-id-out-of-range", "json-n-string", "json-id-bool", "json-id-negative",
          "text-id-gap",
          "alpha-solve-unreachable-tol",
-         "rank-max-iter", "rho-tol-inf", "rho-tol-nan",
+         "rank-max-iter", "verify-max-iter", "rho-tol-inf", "rho-tol-nan",
          "alpha-solve-tol-zero", "alpha-solve-tol-negative", "alpha-solve-tol-nan",
          "alpha-solve-tol-inf"],
 )

@@ -19,6 +19,7 @@ from hyperspec import (
     make_hypergraph,
     pool_size,
     rank_by_rho,
+    spectral,
     structural_profile,
     verify_suite,
 )
@@ -280,13 +281,15 @@ def test_verify_report_serialization():
     assert all({"k", "m", "gap", "status"} <= set(i) for i in d["instances"])
 
 
-def test_verify_suite_matches_pinned_instances():
-    """Every claim, verdict and instance of `verify --k 3 --m 1..9` against
+@pytest.mark.parametrize("k", [3, 4])
+def test_verify_suite_matches_pinned_instances(k):
+    """Every claim, verdict and instance of `verify --k K --m 1..9` against
     the recorded output: order, labels, "na" rows and statuses exactly, the
     floats to a relative 1e-12 (pytest.approx keeps its 1e-12 absolute floor
     for the cross-method differences, which are rounding noise)."""
-    pinned = json.loads((Path(__file__).parent / "data" / "verify_k3_m1_9.json").read_text())
-    got = [r.to_json_dict() for r in verify_suite(3, 1, 9)]
+    data = Path(__file__).parent / "data" / f"verify_k{k}_m1_9.json"
+    pinned = json.loads(data.read_text())
+    got = [r.to_json_dict() for r in verify_suite(k, 1, 9)]
     assert [(r["claim"], r["description"], r["verdict"]) for r in got] == [
         (r["claim"], r["description"], r["verdict"]) for r in pinned
     ]
@@ -300,6 +303,21 @@ def test_verify_suite_matches_pinned_instances():
                     assert inst[f] is None
                 else:
                     assert inst[f] == pytest.approx(want[f], rel=1e-12), (rep["claim"], f)
+
+
+def test_verify_suite_solves_in_one_batch_per_shape(monkeypatch):
+    """Family members of one m share a shape, and so do their base graphs,
+    so m = 5..12 needs at most 2 x 8 batched iterations."""
+    calls = []
+    iterate = spectral._iterate
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return iterate(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_iterate", counted)
+    verify_suite(3, 5, 12)
+    assert len(calls) <= 16, calls
 
 
 def test_third_place_at_m8_by_full_enumeration():
