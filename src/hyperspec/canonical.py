@@ -106,7 +106,7 @@ def canonical_form(h: Hypergraph) -> bytes:
 
 def encode_canonical(c: Hypergraph) -> bytes:
     """The canonical_form() of c, for a c that canonicalize() returned."""
-    body = ";".join(",".join(str(v) for v in e) for e in c.edges)
+    body = ";".join(",".join(map(str, e)) for e in c.edges)
     return f"k{c.k} n{c.n} {body}".encode("ascii")
 
 

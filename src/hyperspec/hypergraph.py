@@ -40,8 +40,9 @@ class Hypergraph:
     Invariants enforced at construction: every edge has exactly k distinct
     vertices, no duplicate edges, every vertex id in 0..n-1 occurs in at
     least one edge, edges sorted lexicographically.  `_canonical` marks a
-    representative that canonicalize() built, or one built from its edge
-    list, so canonical_form() need not run the tree code on it again; it
+    representative that canonicalize() or the enumerator built, so
+    canonical_form() need not run the tree code on it again and
+    is_connected need not search it (both build connected graphs only); it
     takes no part in equality.
     """
 
@@ -88,6 +89,8 @@ class Hypergraph:
 
     @cached_property
     def is_connected(self) -> bool:
+        if self._canonical:
+            return True
         seen = {0}
         todo = deque([0])
         while todo:
@@ -330,24 +333,32 @@ def hypergraph_to_text(h: Hypergraph) -> str:
 
 
 def hypergraph_from_text(text: str) -> Hypergraph:
-    """Read a 'k m' line and then m edge lines of k ids.  The ids must be
-    exactly 0..n-1, as in the JSON format, so they are never renumbered."""
+    """Read a 'k m' line and then m edge lines of k ids.  Every number is
+    plain ASCII decimal digits (no sign, underscore or other numerals), and
+    the ids must be exactly 0..n-1, as in the JSON format, so they are never
+    renumbered."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty hypergraph file")
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError("first line must be 'k m'")
-    k, m = int(head[0]), int(head[1])
+    k, m = (_decimal(x) for x in head)
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = [[int(x) for x in ln.split()] for ln in lines[1:]]
+    edges = [[_decimal(x) for x in ln.split()] for ln in lines[1:]]
     ids = {v for e in edges for v in e}
     if ids != set(range(len(ids))):
         raise ValueError(
             f"vertex ids must be exactly 0..n-1, got {len(ids)} ids from {min(ids)} to {max(ids)}"
         )
     return make_hypergraph(k, edges)
+
+
+def _decimal(token: str) -> int:
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"{token!r} is not a decimal integer")
+    return int(token)
 
 
 def save_hypergraph(h: Hypergraph, path: str) -> None:

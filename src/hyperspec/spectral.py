@@ -14,19 +14,25 @@ enclosure is narrower than the requested tolerance.  A simple graph is the
 case k = 2, where this is the shifted matrix power iteration.
 
 The iteration runs on a batch: B hypergraphs of one shape (k, n, m) share
-one flat vector, graph b's vertex v at entry b*n + v, so one bincount
-applies every adjacency tensor at once.  The edges are stored by column,
-row j of a (k, B*m) array holding slot j of every edge, so the product of
-the other k-1 entries at a slot (the prefix product before it times the
-suffix product after it) takes k-2 whole-row multiplies per side, with no
+one (B, n) iterate, one row per graph, flattened into one vector so that
+one bincount applies every adjacency tensor at once.  A wide batch
+(B > n) is stored column by column, graph b's vertex v at entry v*B + b,
+and a narrow one row by row, at b*n + v; either way a graph's min and max
+take the fewer inner loops.  The edges are stored by column, row j of a
+(k, B*m) array holding slot j of every edge, so the product of the other
+k-1 entries at a slot (the prefix product before it times the suffix
+product after it) takes k-2 whole-row multiplies per side, with no
 padding entry.  The products land in an edge-major buffer, so bincount
 sums each vertex's terms edge by edge.  Each graph keeps its own
-enclosure, the min and max of its own quotients z_i/x_i^{k-1}, and retires
-when that enclosure is narrower than the tolerance; the batch is then
-compacted.  Every operation on a graph's entries is the one a one-graph
-loop would do, in the same order, so a result does not depend on the batch
-it ran in.  spectral_radii_tensor batches a list by shape, and
-spectral_radius_tensor is the batch of one.
+enclosure, the min and max of its own quotients z_i/x_i^{k-1}, and
+retires when that enclosure is narrower than the tolerance.  Retirement
+is kept in arrays over the batch: a retired graph is masked out, and once
+a quarter of the batch has retired, the mask compacts it, the edge
+columns and vertex entries renumbered rather than rebuilt.  Every
+operation on a graph's entries is the one a one-graph loop would do, in
+the same order, so a result does not depend on the batch it ran in.
+spectral_radii_tensor batches a list by shape, and spectral_radius_tensor
+is the batch of one.
 """
 
 from __future__ import annotations
@@ -97,13 +103,15 @@ class SpectralResult:
         return out
 
 
-def _edge_columns(edge_lists, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For a (B, m, k) batch of edge lists on n vertices, with graph b's
-    vertex v at flat entry b*n + v: the (k, B*m) columns, row j holding slot
-    j of every edge, and the (B*m*k,) vertex entries edge by edge."""
+def _edge_columns(edge_lists, n: int, order: str = "C") -> tuple[np.ndarray, np.ndarray]:
+    """For a (B, m, k) batch of edge lists on n vertices each, with graph b's
+    vertex v at entry (b, v) of a (B, n) array flattened in `order` ("C":
+    b*n + v, "F": v*B + b): the (k, B*m) columns, row j holding slot j of
+    every edge, and the (B*m*k,) vertex entries edge by edge."""
     idx = np.asarray(edge_lists, dtype=np.intp)
     b, m, k = idx.shape
-    flat = (idx + (np.arange(b) * n)[:, None, None]).reshape(b * m, k)
+    graph = np.arange(b)[:, None, None]
+    flat = (idx + graph * n if order == "C" else idx * b + graph).reshape(b * m, k)
     return np.ascontiguousarray(flat.T), flat.ravel()
 
 
@@ -187,48 +195,74 @@ def _iterate(
     the all-ones vector; labels name the inputs in a ConvergenceError.
 
     A graph retires when its own enclosure is narrower than the tolerance,
-    and the batch is then compacted, so a converged graph costs nothing.
+    and is masked out; once a quarter of the batch has retired, the batch
+    is compacted to the graphs still active, so a converged graph costs
+    little.
     """
     n, power = hs[0].n, hs[0].k - 1
-    out: dict[int, SpectralResult] = {}
-    rows = list(range(len(hs)))  # batch row -> index into hs
-    cols, slots = _edge_columns([h.edges for h in hs], n)
-    xv = np.ones((len(hs), n))  # the iterate, one row per graph
+    # a per-graph min or max runs B loops over n entries in "C" order, n
+    # loops over B entries in "F" order; the fewer loops, the faster
+    order = "F" if len(hs) > n else "C"
+    out: list[SpectralResult | None] = [None] * len(hs)
+    rows = np.arange(len(hs))  # batch row -> index into hs
+    cols, slots = _edge_columns([h.edges for h in hs], n, order)
+    xv = np.ones((len(hs), n), order=order)  # the iterate, one row per graph
+    # a graph retires when its enclosure is narrower than its limit, which
+    # is then set to 0, below every width, so the graph is masked out
+    limit = np.full(len(hs), opts.tolerance)
     for it in range(1, opts.max_iterations + 1):
         xk = xv ** power
-        y = _adjacency_product(cols, slots, xv.ravel()).reshape(xv.shape)
+        y = _adjacency_product(cols, slots, xv.ravel(order)).reshape(xv.shape, order=order)
         z = y + xk  # _SHIFT * xk is xk exactly
         ratios = z / xk
-        lo = ratios.min(axis=1).tolist()
-        hi = ratios.max(axis=1).tolist()
-        done = [b for b in range(len(rows)) if hi[b] - lo[b] < opts.tolerance]
-        if done:
-            for b in done:
-                rho = 0.5 * (lo[b] + hi[b]) - _SHIFT
-                out[rows[b]] = SpectralResult(
-                    rho=rho,
-                    perron=tuple(float(v) for v in xv[b]),
-                    residual=float(np.abs(y[b] - rho * xk[b]).max()),
-                    iterations=it,
-                    method="tensor-power",
-                )
-            if len(done) == len(rows):
-                return [out[r] for r in range(len(hs))]
-            keep = [b for b in range(len(rows)) if not hi[b] - lo[b] < opts.tolerance]
-            # the kept graphs' edges, shifted back to vertices 0..n-1
-            edges = cols.reshape(power + 1, len(rows), -1)[:, keep]
-            edges -= (np.array(keep) * n)[:, None]
-            cols, slots = _edge_columns(edges.transpose(1, 2, 0), n)
-            rows = [rows[b] for b in keep]
-            lo, hi = [lo[b] for b in keep], [hi[b] for b in keep]
-            z = z[keep]
+        lo = ratios.min(axis=1)
+        hi = ratios.max(axis=1)
+        done = hi - lo < limit
+        if np.count_nonzero(done):
+            rho = 0.5 * (lo[done] + hi[done]) - _SHIFT
+            residual = np.abs(y[done] - rho[:, None] * xk[done]).max(axis=1)
+            for r, p, v, e in zip(rows[done].tolist(), xv[done].tolist(), rho.tolist(),
+                                  residual.tolist()):
+                out[r] = SpectralResult(rho=v, perron=tuple(p), residual=e, iterations=it,
+                                        method="tensor-power")
+            limit[done] = 0.0
+            active = limit > 0
+            live = np.count_nonzero(active)
+            if live == 0:
+                return out
+            if 4 * live <= 3 * len(rows):
+                cols, slots = _compact(cols, slots, active, n, order)
+                rows, limit, lo, hi = rows[active], limit[active], lo[active], hi[active]
+                z = np.asarray(z[active], order=order)
         x = z ** (1.0 / power)
         xv = x / x.max(axis=1, keepdims=True)
+    first = int(np.argmax(limit > 0))
     raise ConvergenceError(
         f"tensor iteration did not reach tolerance {opts.tolerance} in "
-        f"{opts.max_iterations} iterations for input {labels[rows[0]]} "
-        f"(enclosure width {hi[0] - lo[0]:.3e})"
+        f"{opts.max_iterations} iterations for input {labels[rows[first]]} "
+        f"(enclosure width {hi[first] - lo[first]:.3e})"
     )
+
+
+def _compact(
+    cols: np.ndarray, slots: np.ndarray, keep: np.ndarray, n: int, order: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The _edge_columns arrays of the batch rows where keep is set,
+    selected by the mask and renumbered, not rebuilt: the entry of vertex v
+    of kept row b moves to row (the kept rows before b)."""
+    b, k = keep.size, cols.shape[0]
+    new = np.cumsum(keep) - 1
+    live = int(new[-1]) + 1
+
+    def renumber(e: np.ndarray) -> np.ndarray:
+        if order == "C":  # e = row*n + v
+            row, v = np.divmod(e, n)
+            return new[row] * n + v
+        v, row = np.divmod(e, b)  # e = v*b + row
+        return v * live + new[row]
+
+    return (renumber(cols.reshape(k, b, -1)[:, keep]).reshape(k, -1),
+            renumber(slots.reshape(b, -1)[keep]).ravel())
 
 
 def spectral_radius_power_formula(

@@ -74,6 +74,9 @@ BAD_FILES = {
     "id_negative": '{"k": 3, "n": 5, "edges": [[0, 1, 2], [2, 3, -1]]}',
     # the text format has no n; read with ids compacted, 9 would become 4
     "text_id_gap": "3 2\n0 1 2\n2 3 9",
+    # int() would read these as 4 and 3
+    "text_underscore": "3 2\n0 1 2\n2 3 0_4",
+    "text_plus_sign": "+3 2\n0 1 2\n2 3 4",
 }
 
 
@@ -89,6 +92,8 @@ BAD_FILES = {
         (("profile", "{id_bool}"), 2, "vertex id True"),
         (("profile", "{id_negative}"), 2, "vertex id -1"),
         (("rho", "{text_id_gap}", "--perron"), 2, "ids from 0 to 9"),
+        (("rho", "{text_underscore}"), 2, "'0_4' is not a decimal integer"),
+        (("profile", "{text_plus_sign}"), 2, "'+3' is not a decimal integer"),
         (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "1e-30"), 3, "bisection"),
         (("rank", "--k", "3", "--m", "5", "--max-iter", "3"), 3, "did not reach"),
         (("verify", "--k", "3", "--m", "5", "--max-iter", "3"), 3, "did not reach"),
@@ -103,7 +108,7 @@ BAD_FILES = {
     ],
     ids=["enumerate-cap", "json-edges-not-a-list", "json-k-float", "json-id-float",
          "json-id-out-of-range", "json-n-string", "json-id-bool", "json-id-negative",
-         "text-id-gap",
+         "text-id-gap", "text-underscore", "text-plus-sign",
          "alpha-solve-unreachable-tol",
          "rank-max-iter", "verify-max-iter", "rho-tol-inf", "rho-tol-nan",
          "alpha-solve-tol-zero", "alpha-solve-tol-negative", "alpha-solve-tol-nan",

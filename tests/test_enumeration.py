@@ -11,6 +11,7 @@ from hyperspec import (
     CapExceededError,
     FamilySpec,
     IterationOptions,
+    canonical,
     canonical_form,
     canonicalize,
     enumerate_linear_unicyclic,
@@ -102,6 +103,36 @@ def test_pool_members_are_marked_canonical(pool_by_m):
         for h in pool:
             assert h._canonical
             assert canonicalize(h).edges == h.edges
+
+
+@pytest.mark.parametrize(
+    "k,m", [(k, m) for k in range(3, 9) for m in range(3, 9)] + [(3, 9)]
+)
+def test_bead_reading_builds_the_canonical_representative(k, m):
+    """Each class comes out of its bead reading as the representative the
+    tree code gives any relabeling of it, marked canonical, with no class
+    missing or repeated."""
+    rng = random.Random(100 * k + m)
+    pool = enumerate_linear_unicyclic(k, m)
+    assert len(pool) == pool_size(k, m)
+    for h in pool:
+        perm = list(range(h.n))
+        rng.shuffle(perm)
+        assert h._canonical
+        assert canonicalize(relabel(h, perm)) == h
+
+
+def test_enumeration_and_ranking_run_no_tree_code(monkeypatch):
+    def no_tree_code(h):
+        raise AssertionError("canonicalize ran on an enumerated class")
+
+    # the enumerator imports no canonicalize; the name is set there too, so a
+    # later import of it would be caught
+    monkeypatch.setattr(enumeration, "canonicalize", no_tree_code, raising=False)
+    monkeypatch.setattr(canonical, "canonicalize", no_tree_code)
+    pool = enumerate_linear_unicyclic(3, 7)
+    assert len(pool) == 148
+    assert len(rank_by_rho(pool)) == 148
 
 
 def test_enumeration_domain_errors():

@@ -1,6 +1,7 @@
 """Construction, validation, structure analysis, and file formats."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -244,6 +245,28 @@ def test_text_round_trip():
     text = hypergraph_to_text(h)
     assert hypergraph_from_text(text) == h
     assert hypergraph_to_text(hypergraph_from_text(text)) == text
+
+
+@pytest.mark.parametrize(
+    "text,token",
+    [
+        ("3 2\n0 1 2\n2 3 0_4\n", "0_4"),
+        ("+3 2\n0 1 2\n2 3 4\n", "+3"),
+        ("3 +2\n0 1 2\n2 3 4\n", "+2"),
+        ("3 2\n0 1 2\n2 3 -4\n", "-4"),
+        ("3 2\n0 1 2\n2 3 4.0\n", "4.0"),
+        ("3 2\n0 1 2\n2 3 \uff14\n", "\uff14"),  # fullwidth digit four
+        ("3 2\n0 1 \u00b2\n2 3 4\n", "\u00b2"),  # superscript two: isdigit(), not int()
+    ],
+)
+def test_text_reader_accepts_only_ascii_decimal_digits(text, token):
+    with pytest.raises(ValueError, match=re.escape(f"{token!r} is not a decimal integer")):
+        hypergraph_from_text(text)
+
+
+def test_text_reader_accepts_padded_numbers():
+    text = "03 2\n0 1 2\n2 3 04\n"
+    assert hypergraph_from_text(text) == hypergraph_from_text("3 2\n0 1 2\n2 3 4\n")
 
 
 def test_file_round_trip(tmp_path):
