@@ -19,13 +19,12 @@ once, and no deduplication is needed (isomorph-free generation in the
 sense of McKay, J. Algorithms 1998).
 
 Each class also comes out canonical from its bead reading, without the
-tree code of `canonical.py`.  Every rooted tree and branch gets, once, the
-key canonicalize() sorts on (its height, then its children's keys,
-sorted), so within any one graph these keys compare as canonicalize's
-codes do.  The cycle is read bead by bead in its least order over both
-directions, the vertices are numbered in canonicalize's depth-first order
-with children visited in key order, and the representative is built
-once, marked canonical.  canonicalize() remains for outside inputs.
+tree code: `canonical.BeadReader` keys every rooted tree and branch once
+as canonicalize() orders them, reads the cycle bead by bead in its least
+order over both directions, numbers the vertices in canonicalize's
+depth-first order with children visited in key order, and builds the
+representative once, marked canonical.  canonicalize() remains for
+outside inputs.
 
 `pool_size` counts the same classes without building them, from the
 ordinary generating functions of that decomposition (Polya counting, as in
@@ -43,7 +42,7 @@ from itertools import product
 from math import gcd
 
 from .alpha_normal import rho_from_alpha, solve_alpha_O, solve_alpha_P
-from .canonical import _least_rotation, canonical_form, canonical_id, encode_canonical
+from .canonical import BeadReader, canonical_form, canonical_id, encode_canonical
 from .families import _POWER_TAGS, FamilySpec, family, simple_family_graph
 from .hypergraph import Hypergraph
 from .spectral import IterationOptions, SpectralResult, spectral_radii_tensor
@@ -187,36 +186,20 @@ def _compositions(total: int, parts: int, lo: int):
 
 class _Beads:
     """Rooted trees, branches and beads with at most `top` edges off the
-    cycle, each numbered in order of size, and the data that build() reads a
-    canonical representative from.
-
-    canonicalize() codes a node of a tree hanging off the cycle by its
-    height (its peel layer) and, within that height, by its sorted child
-    codes; the same key over every tree id, and over every branch id,
-    orders them exactly as those codes do in any graph.  A cycle node is
-    coded by its color and its sorted child codes alone.
-    """
+    cycle, each numbered in order of size, in the lists BeadReader reads."""
 
     def __init__(self, k: int, top: int):
-        self.k = k
         self.trees: list[tuple[int, ...]] = [()]  # branch ids
         tree_size = [0]
         self.branches: list[tuple[int, ...]] = []  # k - 1 tree ids
         branch_size: list[int] = []
-        # (height, sorted child keys): these keys order the ids
-        tree_key: list[tuple] = [(0, ())]
-        branch_key: list[tuple] = []
         for s in range(1, top + 1):
             for kids in _picks(tree_size, s - 1, k - 1):
                 self.branches.append(kids)
                 branch_size.append(s)
-                keys = tuple(sorted(tree_key[t] for t in kids))
-                branch_key.append((keys[-1][0] + 1, keys))
             for parts in _picks(branch_size, s, None):
                 self.trees.append(parts)
                 tree_size.append(s)
-                keys = tuple(sorted(branch_key[b] for b in parts))
-                tree_key.append((keys[-1][0] + 1, keys))
         # bead = (tree at the cycle vertex, k - 2 tree ids on the side vertices)
         self.beads: list[tuple[int, tuple[int, ...]]] = []
         self.by_size: list[range] = []
@@ -227,30 +210,6 @@ class _Beads:
                     self.beads += [(v, side) for side in _picks(tree_size, s - a, k - 2)]
             self.by_size.append(range(start, len(self.beads)))
         self.index = {b: i for i, b in enumerate(self.beads)}
-
-        # hang[t]: the edges of tree t with its root labeled -1 and the other
-        # vertices 0, 1, ... in canonicalize's depth-first order (children by
-        # key), and the number of those other vertices
-        self.hang: list[tuple[int, list[tuple[int, ...]]]] = []
-        for parts in self.trees:
-            edges: list[tuple[int, ...]] = []
-            n = 0
-            for b in sorted(parts, key=branch_key.__getitem__):
-                edge = [-1]
-                for t in sorted(self.branches[b], key=tree_key.__getitem__):
-                    edge.append(n)
-                    n = self._place(t, n, edges)
-                edges.append(tuple(edge))
-            self.hang.append((n, edges))
-        # per bead: the codes of its cycle vertex and cycle edge (every vertex
-        # code below every edge code, as colors order them), and its side
-        # trees in the order their vertices are numbered
-        vertex_code = _ranks([kids for _, kids in tree_key])
-        edge_code = _ranks([tuple(sorted(tree_key[t] for t in side)) for _, side in self.beads])
-        self.codes = [
-            (vertex_code[v], len(self.trees) + e) for (v, _), e in zip(self.beads, edge_code)
-        ]
-        self.sides = [tuple(sorted(side, key=tree_key.__getitem__)) for _, side in self.beads]
 
     def necklaces(self, g: int, total: int):
         """Bead sequences of length g with `total` edges off the cycle, each
@@ -280,54 +239,6 @@ class _Beads:
                 return False
         return True
 
-    def build(self, seq: tuple[int, ...]) -> Hypergraph:
-        """The representative canonicalize() would return for the class a
-        bead sequence reads, built directly: the cycle is read in its least
-        order over both directions, and the vertices are numbered as
-        canonicalize numbers them."""
-        g = len(seq)
-        codes = [c for b in seq for c in self.codes[b]]  # vertex i at 2i, edge i at 2i + 1
-        nodes = list(range(2 * g))
-        best = None
-        for w in (nodes, nodes[::-1]):
-            c = [codes[x] for x in w]
-            i = _least_rotation(c)
-            reading = (c[i:] + c[:i], w[i:] + w[:i])
-            if best is None or reading[0] < best[0]:
-                best = reading
-        cycle = [0] * g  # label of cycle vertex i
-        side: list[list[int]] = [[]] * g  # labels of the side vertices of cycle edge i
-        edges: list[tuple[int, ...]] = []
-        n = 0
-        for x in best[1]:
-            i, b = x >> 1, seq[x >> 1]
-            roots = self.sides[b] if x & 1 else (self.beads[b][0],)
-            labels = []
-            for t in roots:
-                labels.append(n)
-                n = self._place(t, n, edges)
-            if x & 1:
-                side[i] = labels
-            else:
-                cycle[i] = labels[0]
-        edges += [tuple(sorted((cycle[i], cycle[(i + 1) % g], *side[i]))) for i in range(g)]
-        edges.sort()
-        return Hypergraph(k=self.k, n=n, edges=tuple(edges), _canonical=True)
-
-    def _place(self, tree: int, n: int, edges: list) -> int:
-        """Append the edges of tree `tree` rooted at vertex n, its other
-        vertices numbered from n + 1 on, and return the next free label."""
-        size, sub = self.hang[tree]
-        shift = (n + 1).__add__
-        edges += [tuple(map(shift, e)) for e in sub]
-        return n + 1 + size
-
-
-def _ranks(keys: list) -> list[int]:
-    """Position of each key among the distinct keys, in sorted order."""
-    order = {key: i for i, key in enumerate(sorted(set(keys)))}
-    return [order[key] for key in keys]
-
 
 def enumerate_linear_unicyclic(
     k: int,
@@ -353,8 +264,9 @@ def enumerate_linear_unicyclic(
             "pass a larger --cap, or --allow-large to lift it"
         )
     beads = _Beads(k, m - 3)
+    reader = BeadReader(k, beads.trees, beads.branches, beads.beads)
     pool = [
-        beads.build(seq) for g in range(3, m + 1) for seq in beads.necklaces(g, m - g)
+        reader.build(seq) for g in range(3, m + 1) for seq in beads.necklaces(g, m - g)
     ]
     return sorted(pool, key=encode_canonical)
 

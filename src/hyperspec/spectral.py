@@ -14,25 +14,21 @@ enclosure is narrower than the requested tolerance.  A simple graph is the
 case k = 2, where this is the shifted matrix power iteration.
 
 The iteration runs on a batch: B hypergraphs of one shape (k, n, m) share
-one (B, n) iterate, one row per graph, flattened into one vector so that
-one bincount applies every adjacency tensor at once.  A wide batch
-(B > n) is stored column by column, graph b's vertex v at entry v*B + b,
-and a narrow one row by row, at b*n + v; either way a graph's min and max
-take the fewer inner loops.  The edges are stored by column, row j of a
-(k, B*m) array holding slot j of every edge, so the product of the other
-k-1 entries at a slot (the prefix product before it times the suffix
-product after it) takes k-2 whole-row multiplies per side, with no
-padding entry.  The products land in an edge-major buffer, so bincount
-sums each vertex's terms edge by edge.  Each graph keeps its own
-enclosure, the min and max of its own quotients z_i/x_i^{k-1}, and
-retires when that enclosure is narrower than the tolerance.  Retirement
-is kept in arrays over the batch: a retired graph is masked out, and once
-a quarter of the batch has retired, the mask compacts it, the edge
-columns and vertex entries renumbered rather than rebuilt.  Every
-operation on a graph's entries is the one a one-graph loop would do, in
-the same order, so a result does not depend on the batch it ran in.
-spectral_radii_tensor batches a list by shape, and spectral_radius_tensor
-is the batch of one.
+one (n, B) iterate, one column per graph, so graph b's vertex v sits at
+flat entry v*B + b, one bincount applies every adjacency tensor at once,
+and a graph's min and max run across the batch.  The edges are stored by
+column, row j of a (k, B*m) array holding slot j of every edge, so the
+product of the other k-1 entries at a slot (the prefix product before it
+times the suffix product after it) takes k-2 whole-row multiplies per
+side, with no padding entry.  The products land in an edge-major buffer,
+so bincount sums each vertex's terms edge by edge.  Each graph keeps its
+own enclosure, the min and max of its own quotients z_i/x_i^{k-1}, and
+retires when that enclosure is narrower than the tolerance; a mask over
+the batch then compacts it, the edge columns and vertex entries of the
+graphs left re-offset rather than rebuilt.  Every operation on a graph's
+entries is the one a one-graph loop would do, in the same order, so a
+result does not depend on the batch it ran in.  spectral_radii_tensor
+batches a list by shape, and spectral_radius_tensor is the batch of one.
 """
 
 from __future__ import annotations
@@ -103,15 +99,13 @@ class SpectralResult:
         return out
 
 
-def _edge_columns(edge_lists, n: int, order: str = "C") -> tuple[np.ndarray, np.ndarray]:
-    """For a (B, m, k) batch of edge lists on n vertices each, with graph b's
-    vertex v at entry (b, v) of a (B, n) array flattened in `order` ("C":
-    b*n + v, "F": v*B + b): the (k, B*m) columns, row j holding slot j of
-    every edge, and the (B*m*k,) vertex entries edge by edge."""
+def _edge_columns(edge_lists, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For a (B, m, k) batch of edge lists on n vertices, with graph b's
+    vertex v at flat entry v*B + b: the (k, B*m) columns, row j holding slot
+    j of every edge, and the (B*m*k,) vertex entries edge by edge."""
     idx = np.asarray(edge_lists, dtype=np.intp)
     b, m, k = idx.shape
-    graph = np.arange(b)[:, None, None]
-    flat = (idx + graph * n if order == "C" else idx * b + graph).reshape(b * m, k)
+    flat = (idx * b + np.arange(b)[:, None, None]).reshape(b * m, k)
     return np.ascontiguousarray(flat.T), flat.ravel()
 
 
@@ -195,74 +189,58 @@ def _iterate(
     the all-ones vector; labels name the inputs in a ConvergenceError.
 
     A graph retires when its own enclosure is narrower than the tolerance,
-    and is masked out; once a quarter of the batch has retired, the batch
-    is compacted to the graphs still active, so a converged graph costs
-    little.
+    and the batch is then compacted, so a converged graph costs nothing.
     """
     n, power = hs[0].n, hs[0].k - 1
-    # a per-graph min or max runs B loops over n entries in "C" order, n
-    # loops over B entries in "F" order; the fewer loops, the faster
-    order = "F" if len(hs) > n else "C"
     out: list[SpectralResult | None] = [None] * len(hs)
-    rows = np.arange(len(hs))  # batch row -> index into hs
-    cols, slots = _edge_columns([h.edges for h in hs], n, order)
-    xv = np.ones((len(hs), n), order=order)  # the iterate, one row per graph
-    # a graph retires when its enclosure is narrower than its limit, which
-    # is then set to 0, below every width, so the graph is masked out
-    limit = np.full(len(hs), opts.tolerance)
+    rows = np.arange(len(hs))  # batch column -> index into hs
+    cols, slots = _edge_columns([h.edges for h in hs], n)
+    xv = np.ones((n, len(hs)))  # the iterate, one column per graph
     for it in range(1, opts.max_iterations + 1):
         xk = xv ** power
-        y = _adjacency_product(cols, slots, xv.ravel(order)).reshape(xv.shape, order=order)
+        y = _adjacency_product(cols, slots, xv.ravel()).reshape(xv.shape)
         z = y + xk  # _SHIFT * xk is xk exactly
         ratios = z / xk
-        lo = ratios.min(axis=1)
-        hi = ratios.max(axis=1)
-        done = hi - lo < limit
+        lo = np.minimum.reduce(ratios)  # per column: each graph's own
+        hi = np.maximum.reduce(ratios)
+        done = hi - lo < opts.tolerance
         if np.count_nonzero(done):
-            rho = 0.5 * (lo[done] + hi[done]) - _SHIFT
-            residual = np.abs(y[done] - rho[:, None] * xk[done]).max(axis=1)
-            for r, p, v, e in zip(rows[done].tolist(), xv[done].tolist(), rho.tolist(),
-                                  residual.tolist()):
-                out[r] = SpectralResult(rho=v, perron=tuple(p), residual=e, iterations=it,
-                                        method="tensor-power")
-            limit[done] = 0.0
-            active = limit > 0
-            live = np.count_nonzero(active)
-            if live == 0:
+            for j in np.flatnonzero(done).tolist():
+                rho = float(0.5 * (lo[j] + hi[j]) - _SHIFT)
+                out[rows[j]] = SpectralResult(
+                    rho=rho,
+                    perron=tuple(xv[:, j].tolist()),
+                    residual=float(np.abs(y[:, j] - rho * xk[:, j]).max()),
+                    iterations=it,
+                    method="tensor-power",
+                )
+            keep = ~done
+            if not np.count_nonzero(keep):
                 return out
-            if 4 * live <= 3 * len(rows):
-                cols, slots = _compact(cols, slots, active, n, order)
-                rows, limit, lo, hi = rows[active], limit[active], lo[active], hi[active]
-                z = np.asarray(z[active], order=order)
+            cols, slots = _compact(cols, keep)
+            rows, lo, hi = rows[keep], lo[keep], hi[keep]
+            z = np.compress(keep, z, axis=1)
         x = z ** (1.0 / power)
-        xv = x / x.max(axis=1, keepdims=True)
-    first = int(np.argmax(limit > 0))
+        xv = x / np.maximum.reduce(x)
     raise ConvergenceError(
         f"tensor iteration did not reach tolerance {opts.tolerance} in "
-        f"{opts.max_iterations} iterations for input {labels[rows[first]]} "
-        f"(enclosure width {hi[first] - lo[first]:.3e})"
+        f"{opts.max_iterations} iterations for input {labels[rows[0]]} "
+        f"(enclosure width {hi[0] - lo[0]:.3e})"
     )
 
 
-def _compact(
-    cols: np.ndarray, slots: np.ndarray, keep: np.ndarray, n: int, order: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The _edge_columns arrays of the batch rows where keep is set,
-    selected by the mask and renumbered, not rebuilt: the entry of vertex v
-    of kept row b moves to row (the kept rows before b)."""
-    b, k = keep.size, cols.shape[0]
-    new = np.cumsum(keep) - 1
-    live = int(new[-1]) + 1
-
-    def renumber(e: np.ndarray) -> np.ndarray:
-        if order == "C":  # e = row*n + v
-            row, v = np.divmod(e, n)
-            return new[row] * n + v
-        v, row = np.divmod(e, b)  # e = v*b + row
-        return v * live + new[row]
-
-    return (renumber(cols.reshape(k, b, -1)[:, keep]).reshape(k, -1),
-            renumber(slots.reshape(b, -1)[keep]).ravel())
+def _compact(cols: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The _edge_columns arrays of the graphs where keep is set, taken from
+    cols by the mask and re-offset, not rebuilt: entry v*B + b of a kept
+    graph b becomes v*live + (the kept graphs before b)."""
+    k, b = cols.shape[0], keep.size
+    kept = np.compress(keep, cols.reshape(k, b, -1), axis=1)
+    live = kept.shape[1]
+    kept //= b  # the vertex v
+    kept *= live
+    kept += np.arange(live)[:, None]
+    cols = kept.reshape(k, -1)
+    return cols, cols.T.ravel()
 
 
 def spectral_radius_power_formula(

@@ -16,7 +16,7 @@ from hyperspec import (
     power_hypergraph,
     simple_s,
 )
-from hyperspec.canonical import _least_rotation
+from hyperspec.canonical import BeadReader, _least_rotation
 
 HYPERPATH = make_hypergraph(3, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8)])
 
@@ -123,6 +123,19 @@ def test_least_rotation_matches_brute_force():
         s = [rng.randint(0, 2) for _ in range(rng.randint(1, 10))]
         i = _least_rotation(s)
         assert s[i:] + s[:i] == min(s[j:] + s[:j] for j in range(len(s)))
+
+
+def test_bead_reader_builds_canonicalize_of_the_cycle_it_reads():
+    # k = 3: tree 0 is a bare vertex, tree 1 one pendant edge (branch 0)
+    reader = BeadReader(3, trees=[(), (0,)], branches=[(0, 0)],
+                        beads=[(0, (0,)), (1, (0,)), (0, (1,))])
+    # cycle vertices 0, 1, 2 with side vertices 3, 4, 5; bead 1 hangs a
+    # pendant edge at cycle vertex 1, bead 2 one at the side vertex of edge 2
+    h = make_hypergraph(3, [(0, 1, 3), (1, 2, 4), (2, 0, 5), (1, 6, 7), (5, 8, 9)])
+    c = canonicalize(h)
+    for seq in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+        assert reader.build(seq) == c
+        assert reader.build(seq)._canonical
 
 
 @pytest.mark.parametrize(
