@@ -1,25 +1,19 @@
 """Canonical forms for hypertrees and unicyclic hypergraphs.
 
-The hypergraph is encoded as its vertex-edge incidence graph, with vertex
-nodes and edge nodes kept apart by color.  For the classes the library
-handles, hypertrees and hypergraphs whose incidence graph has exactly one
-cycle, an Aho-Hopcroft-Ullman tree code decides isomorphism:
+The vertex-edge incidence graph of a hypertree, or of a hypergraph whose
+incidence graph has exactly one cycle, is a core with rooted trees hanging
+off it.  The core is a hypertree's center node, or a cycle of g beads, each
+a cycle vertex and the cycle edge after it (g >= 3 when the hypergraph is
+linear, g = 2 when two edges share two vertices).
 
-* the leaf layers come from the incidence-graph peel in `hypergraph.py`,
-  which also walks what survives: the center node of a hypertree or the
-  unique cycle;
-* each stripped node gets the code of the rooted tree it carries, numbered
-  within its layer by sorting (color, sorted child codes), and each
-  survivor gets a branch code the same way;
-* the cycle is read in the least order over all rotations and both
-  directions, each direction's least rotation found by Booth's algorithm;
-* the canonical relabeling numbers the vertex nodes in depth-first order
-  from that core, visiting children in code order.
-
-BeadReader builds the same representative straight from a cycle of beads
-(the trees hung at each cycle vertex and on each cycle edge's side
-vertices), as the enumerator supplies them: the keys canonicalize sorts
-tree nodes by are computed once per tree, so no class needs the peel.
+BeadReader holds the one code.  Every rooted tree (a vertex node and what
+hangs below it) and every branch (an edge node and the trees on its other
+vertices) gets a flat code: its height, then its rank within that height by
+sorted child codes.  The cycle is read in its least order over all
+rotations and both directions (Booth's algorithm), and the vertices are
+numbered depth-first from the core, children in code order.  Two readers
+feed it: the enumerator numbers its trees, branches and beads itself, and
+canonicalize() takes them from the peel in `hypergraph.py`, leaves first.
 
 Children with equal codes carry isomorphic subtrees and rotations with
 equal code sequences are automorphisms, so every tie-break yields the same
@@ -28,8 +22,6 @@ than one cycle, raise ValueError.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from .hypergraph import Hypergraph
 
@@ -53,36 +45,32 @@ def canonicalize(h: Hypergraph) -> Hypergraph:
             f"canonical code needs at most one cycle in the incidence graph, found {cycles}"
         )
     layers, walk = h._peel
-    layers = layers + [walk]  # the survivors are numbered last
     adj = [[n + j for j in inc] for inc in h.incidence] + [list(e) for e in h.edges]
-    # code[x] = (depth, index); the depth sits past every layer until numbered
-    code: list[tuple[int, int]] = [(len(layers), 0)] * (n + m)
-    for d, layer in enumerate(layers):
-        keys = {
-            x: (x >= n, tuple(sorted(code[y] for y in adj[x] if code[y][0] < d)))
-            for x in layer
-        }
-        index = {key: i for i, key in enumerate(sorted(set(keys.values())))}
+    # node x is read as trees[ids[x]] (a vertex) or branches[ids[x]] (an edge),
+    # its children the neighbors in earlier layers (a layer holds one color)
+    ids = [-1] * (n + m)
+    trees: list[list[int]] = []
+    branches: list[list[int]] = []
+
+    def kids(x: int) -> list[int]:
+        return [ids[y] for y in adj[x] if ids[y] >= 0]
+
+    for layer in layers:
         for x in layer:
-            code[x] = (d, index[keys[x]])
-
-    readings = []
-    for w in (walk, walk[::-1]):
-        codes = [code[x] for x in w]
-        i = _least_rotation(codes)
-        readings.append((codes[i:] + codes[:i], w[i:] + w[:i]))
-    start = min(readings, key=lambda r: r[0])[1]
-
-    order = []
-    stack = start[::-1]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        kids = sorted((y for y in adj[x] if code[y][0] < code[x][0]), key=code.__getitem__)
-        stack.extend(reversed(kids))
-    label = {x: i for i, x in enumerate(x for x in order if x < n)}
-    edges = sorted(tuple(sorted(label[v] for v in e)) for e in h.edges)
-    return Hypergraph(k=h.k, n=n, edges=tuple(edges), _canonical=True)
+            parts = branches if x >= n else trees
+            ids[x] = len(parts)
+            parts.append(kids(x))
+    if len(walk) == 1:  # a hypertree: the tree at its center vertex, or k on its center edge
+        center = kids(walk[0])
+        if walk[0] < n:
+            trees.append(center)
+            center = [len(trees) - 1]
+        return BeadReader(h.k, trees, branches, [])._hypertree(center)
+    # the walk starts at a cycle vertex, so it alternates vertex, edge
+    first = len(trees)
+    trees += [kids(v) for v in walk[::2]]
+    beads = [(first + i, kids(e)) for i, e in enumerate(walk[1::2])]
+    return BeadReader(h.k, trees, branches, beads).build(tuple(range(len(beads))))
 
 
 def _least_rotation(s: list) -> int:
@@ -106,106 +94,117 @@ def _least_rotation(s: list) -> int:
 
 
 class BeadReader:
-    """The canonicalize() representatives of linear unicyclic hypergraphs
-    given as bead sequences, built without the tree code.
+    """The one canonical code: representatives built from numbered trees.
 
-    The rooted trees hanging off the cycle come numbered in three lists:
-    trees[t], the ids of the branches at a tree's root (the tree () is a
-    bare vertex); branches[b], the k - 1 tree ids on the other vertices of
-    a branch's edge; beads[i], the tree id at a cycle vertex and the k - 2
-    tree ids on the side vertices of the cycle edge after it.  Every tree's
-    subtrees come before it.  build() takes a cycle as bead ids, bead i
-    holding cycle vertex i and the edge from it to vertex i + 1.
-
-    canonicalize() codes a node of a tree hanging off the cycle by its
-    height (its peel layer) and, within that height, by its sorted child
-    codes; the same key, computed once per tree and per branch id, orders
-    them exactly as those codes do in any graph.  A cycle node is coded by
-    its color and its sorted child codes alone.
+    The trees come numbered in three lists: trees[t], the ids of the
+    branches at a tree's root (the tree () is a bare vertex); branches[b],
+    the k - 1 tree ids on the other vertices of a branch's edge; beads[i],
+    the tree id at a cycle vertex and the k - 2 tree ids on the side
+    vertices of the cycle edge after it.  Every tree's subtrees come before
+    it, and every branch sits in some tree.  build() takes a cycle as bead
+    ids, bead i holding cycle vertex i and the edge from it to vertex i + 1.
+    A cycle node is coded by its color (vertices first) and its sorted child
+    codes alone, ranked among the beads.
     """
 
     def __init__(self, k: int, trees: list, branches: list, beads: list):
         self.k = k
         self.roots = [v for v, _ in beads]
-
-        @cache
-        def tree_key(t: int) -> tuple:
-            return _node_key(branch_key(b) for b in trees[t])
-
-        @cache
-        def branch_key(b: int) -> tuple:
-            return _node_key(tree_key(t) for t in branches[b])
-
-        # hang[t]: the edges of tree t with its root labeled -1 and the other
-        # vertices 0, 1, ... in canonicalize's depth-first order (children by
-        # key), and the number of those other vertices
-        self.hang: list[tuple[int, list[tuple[int, ...]]]] = []
-        for parts in trees:
-            edges: list[tuple[int, ...]] = []
-            n = 0
-            for b in sorted(parts, key=branch_key):
-                edge = [-1]
-                for t in sorted(branches[b], key=tree_key):
-                    edge.append(n)
-                    n = self._place(t, n, edges)
-                edges.append(tuple(edge))
-            self.hang.append((n, edges))
+        # one node list: tree t is node t, branch b is node len(trees) + b
+        self.kids = kids = [[len(trees) + b for b in parts] for parts in trees]
+        kids += [list(side) for side in branches]
+        # heights, and the vertices below a tree's root or a branch's edge;
+        # a branch is measured again with every tree that holds it
+        height = [0] * len(kids)
+        self.size = size = [0] * len(kids)
+        for t in range(len(trees)):
+            for b in kids[t]:
+                below = kids[b]
+                height[b] = 1 + max(map(height.__getitem__, below))
+                size[b] = len(below) + sum(map(size.__getitem__, below))
+                height[t] = max(height[t], height[b] + 1)
+                size[t] += size[b]
+        levels: list[list[int]] = [[] for _ in range(max(height) + 1)]
+        for x, d in enumerate(height):
+            levels[d].append(x)
+        # codes height by height, each node's children sorted once on the way
+        self.code = [0] * len(kids)
+        code_of = self.code.__getitem__
+        base = 0
+        for level in levels:
+            for x in level:
+                kids[x].sort(key=code_of)
+            keys = [tuple(map(code_of, kids[x])) for x in level]
+            for x, rank in zip(level, _ranks(keys)):
+                self.code[x] = base + rank
+            base += len(level)
         # per bead: the codes of its cycle vertex and cycle edge (every vertex
-        # code below every edge code, as colors order them), and its side
-        # trees in the order their vertices are numbered
-        vertex_code = _ranks([tree_key(t)[1] for t in range(len(trees))])
-        edge_code = _ranks([tuple(sorted(map(tree_key, side))) for _, side in beads])
-        self.codes = [(vertex_code[v], len(trees) + e) for v, e in zip(self.roots, edge_code)]
-        self.sides = [tuple(sorted(side, key=tree_key)) for _, side in beads]
+        # code below every edge code), and its side trees in code order
+        self.sides = [sorted(side, key=code_of) for _, side in beads]
+        vertex_code = _ranks([tuple(map(code_of, kids[v])) for v in self.roots])
+        edge_code = _ranks([tuple(map(code_of, side)) for side in self.sides])
+        self.codes = [(v, len(beads) + e) for v, e in zip(vertex_code, edge_code)]
 
     def build(self, seq: tuple[int, ...]) -> Hypergraph:
         """The representative canonicalize() returns for the cycle of beads
-        seq, built directly: the cycle is read in its least order over both
-        directions, and the vertices are numbered as canonicalize numbers
-        them."""
+        seq: the cycle is read in its least order over both directions, and
+        the vertices are numbered depth-first from it."""
         g = len(seq)
         codes = [c for b in seq for c in self.codes[b]]  # vertex i at 2i, edge i at 2i + 1
         nodes = list(range(2 * g))
-        best = None
+        readings = []
         for w in (nodes, nodes[::-1]):
             c = [codes[x] for x in w]
             i = _least_rotation(c)
-            reading = (c[i:] + c[:i], w[i:] + w[:i])
-            if best is None or reading[0] < best[0]:
-                best = reading
+            readings.append((c[i:] + c[:i], w[i:] + w[:i]))
+        start = min(readings, key=lambda r: r[0])[1]
         cycle = [0] * g  # label of cycle vertex i
         side: list[list[int]] = [[]] * g  # labels of the side vertices of cycle edge i
         edges: list[tuple[int, ...]] = []
         n = 0
-        for x in best[1]:
+        for x in start:
             i, b = x >> 1, seq[x >> 1]
-            trees = self.sides[b] if x & 1 else (self.roots[b],)
-            labels = []
-            for t in trees:
-                labels.append(n)
-                n = self._place(t, n, edges)
             if x & 1:
-                side[i] = labels
+                side[i], n = self._place(self.sides[b], n, edges)
             else:
-                cycle[i] = labels[0]
+                (cycle[i],), n = self._place([self.roots[b]], n, edges)
         edges += [tuple(sorted((cycle[i], cycle[(i + 1) % g], *side[i]))) for i in range(g)]
         edges.sort()
         return Hypergraph(k=self.k, n=n, edges=tuple(edges), _canonical=True)
 
-    def _place(self, tree: int, n: int, edges: list) -> int:
-        """Append the edges of tree `tree` rooted at vertex n, its other
-        vertices numbered from n + 1 on, and return the next free label."""
-        size, sub = self.hang[tree]
-        shift = (n + 1).__add__
-        edges += [tuple(map(shift, e)) for e in sub]
-        return n + 1 + size
+    def _hypertree(self, center: list[int]) -> Hypergraph:
+        """The canonicalize() representative of the hypertree whose center
+        vertex carries the one tree in `center`, or whose center edge the k."""
+        edges: list[tuple[int, ...]] = []
+        labels, n = self._place(sorted(center, key=self.code.__getitem__), 0, edges)
+        if len(labels) > 1:
+            edges.append(tuple(labels))
+        edges.sort()
+        return Hypergraph(k=self.k, n=n, edges=tuple(edges), _canonical=True)
 
-
-def _node_key(child_keys) -> tuple:
-    """(height, sorted child keys), the order canonicalize() codes a tree
-    node by; a leaf has height 0."""
-    keys = tuple(sorted(child_keys))
-    return (keys[-1][0] + 1 if keys else 0, keys)
+    def _place(self, trees: list[int], n: int, edges: list) -> tuple[list[int], int]:
+        """Append the edges of `trees`, placed one after another from label
+        n, each root before its subtree, numbered depth-first with children
+        in code order.  A label follows from the sizes of the subtrees
+        before it, so a stack of (tree, root label) pairs places any depth
+        in one pass.  Return the root labels and the next free label."""
+        kids, size = self.kids, self.size
+        todo = []
+        for t in trees:
+            todo.append((t, n))
+            n += 1 + size[t]
+        roots = [label for _, label in todo]
+        while todo:
+            t, label = todo.pop()
+            nxt = label + 1
+            for b in kids[t]:
+                edge = [label]
+                for c in kids[b]:
+                    edge.append(nxt)
+                    todo.append((c, nxt))
+                    nxt += 1 + size[c]
+                edges.append(tuple(edge))
+        return roots, n
 
 
 def _ranks(keys: list) -> list[int]:

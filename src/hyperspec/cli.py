@@ -42,6 +42,7 @@ from .enumeration import (
 )
 from .families import FAMILY_TAGS, FamilySpec, family
 from .hypergraph import (
+    _decimal,
     hypergraph_to_json,
     load_hypergraph,
     power_base,
@@ -102,6 +103,21 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+class _BadInteger(Exception):
+    """An integer flag's text is not plain decimal.  argparse would catch a
+    ValueError from a flag's type and exit on its own; this one reaches
+    run(), which exits 2 as for every other bad input."""
+
+
+def _integer(text: str) -> int:
+    """Plain ASCII decimal digits, as the text reader takes them: no sign,
+    underscore, space or other numerals."""
+    try:
+        return _decimal(text)
+    except ValueError as exc:
+        raise _BadInteger(str(exc)) from None
+
+
 def _iter_options(args) -> IterationOptions:
     return IterationOptions(tolerance=args.tol, max_iterations=args.max_iter)
 
@@ -109,13 +125,13 @@ def _iter_options(args) -> IterationOptions:
 def _add_iter_flags(parser, default_tol=1e-12):
     parser.add_argument("--tol", type=float, default=default_tol,
                         help="iteration tolerance (enclosure width)")
-    parser.add_argument("--max-iter", type=int, default=100000, dest="max_iter")
+    parser.add_argument("--max-iter", type=_integer, default=100000, dest="max_iter")
 
 
 def _add_pool_flags(parser):
-    parser.add_argument("--k", type=int, required=True)
-    parser.add_argument("--m", type=int, required=True)
-    parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
+    parser.add_argument("--k", type=_integer, required=True)
+    parser.add_argument("--m", type=_integer, required=True)
+    parser.add_argument("--cap", type=_integer, default=DEFAULT_CAP,
                         help=f"refuse a pool of more than CAP classes (default {DEFAULT_CAP})")
     parser.add_argument("--allow-large", action="store_const", const=None, dest="cap",
                         help="lift the class cap")
@@ -125,8 +141,8 @@ def _parse_range(text: str) -> tuple[int, int]:
     """'a..b' inclusive, or a single integer."""
     if ".." in text:
         a, b = text.split("..", 1)
-        return int(a), int(b)
-    v = int(text)
+        return _integer(a), _integer(b)
+    v = _integer(text)
     return v, v
 
 
@@ -241,7 +257,8 @@ def _cmd_transform(args) -> int:
             parts = text.split(",")
             if len(parts) != 3:
                 raise ValueError(f"--move wants EDGE,SRC,DST, got {text!r}")
-            moves.append(EdgeMove(edge=int(parts[0]), src=int(parts[1]), dst=int(parts[2])))
+            edge, src, dst = map(_integer, parts)
+            moves.append(EdgeMove(edge=edge, src=src, dst=dst))
         result = move_edges(h, moves)
         if args.output:
             save_hypergraph(result.hypergraph, args.output)
@@ -356,9 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="write a family hypergraph to a file")
     p.add_argument("--family", required=True, choices=FAMILY_TAGS)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--g", type=int, default=None)
+    p.add_argument("--k", type=_integer, required=True)
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--g", type=_integer, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(handler=_cmd_build)
 
@@ -381,17 +398,17 @@ def build_parser() -> argparse.ArgumentParser:
     pe = asub.add_parser("eval", help="evaluate a scalar function")
     pe.add_argument("--fn", required=True, choices=sorted(_SCALARS))
     pe.add_argument("--alpha", type=float, required=True)
-    pe.add_argument("--r", type=int, default=None)
+    pe.add_argument("--r", type=_integer, default=None)
     pe.set_defaults(handler=_cmd_alpha)
     ps = asub.add_parser("solve", help="solve f = 1 for the family's alpha")
     ps.add_argument("--family", required=True, choices=["P", "O"])
-    ps.add_argument("--r", type=int, required=True)
+    ps.add_argument("--r", type=_integer, required=True)
     ps.add_argument("--tol", type=float, default=1e-13)
     ps.set_defaults(handler=_cmd_alpha)
     pm = asub.add_parser("emit", help="emit the family's weighted incidence matrix")
     pm.add_argument("--family", required=True, choices=["P", "O", "Q"])
-    pm.add_argument("--m", type=int, required=True)
-    pm.add_argument("--k", type=int, required=True)
+    pm.add_argument("--m", type=_integer, required=True)
+    pm.add_argument("--k", type=_integer, required=True)
     pm.add_argument("--alpha", type=float, default=None,
                     help="override the solved alpha")
     pm.add_argument("-o", "--output", default=None)
@@ -407,16 +424,16 @@ def build_parser() -> argparse.ArgumentParser:
     tm.set_defaults(handler=_cmd_transform)
     ty = tsub.add_parser("yss", help="pendant-pattern re-anchoring move")
     ty.add_argument("input")
-    ty.add_argument("--e", type=int, required=True)
-    ty.add_argument("--f", type=int, required=True)
+    ty.add_argument("--e", type=_integer, required=True)
+    ty.add_argument("--f", type=_integer, required=True)
     ty.add_argument("-o", "--output", default=None)
     ty.set_defaults(handler=_cmd_transform)
     tr = tsub.add_parser("relocate", help="identification pair for two glue points")
     tr.add_argument("input")
     tr.add_argument("attach")
-    tr.add_argument("--v1", type=int, required=True)
-    tr.add_argument("--v2", type=int, required=True)
-    tr.add_argument("--u", type=int, required=True)
+    tr.add_argument("--v1", type=_integer, required=True)
+    tr.add_argument("--v2", type=_integer, required=True)
+    tr.add_argument("--u", type=_integer, required=True)
     tr.add_argument("-o", "--output", default=None)
     tr.add_argument("--output2", default=None)
     tr.set_defaults(handler=_cmd_transform)
@@ -436,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_rank)
 
     p = sub.add_parser("verify", help="run the inequality suite")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--m", required=True, help="edge count or range a..b")
     p.add_argument("--format", choices=["csv", "md", "json"], default="md")
     p.add_argument("-o", "--output", default=None)
@@ -448,13 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.handler(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError, CapExceededError) as exc:
+    except (ValueError, OSError, KeyError, CapExceededError, _BadInteger) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,12 +19,12 @@ once, and no deduplication is needed (isomorph-free generation in the
 sense of McKay, J. Algorithms 1998).
 
 Each class also comes out canonical from its bead reading, without the
-tree code: `canonical.BeadReader` keys every rooted tree and branch once
-as canonicalize() orders them, reads the cycle bead by bead in its least
-order over both directions, numbers the vertices in canonicalize's
-depth-first order with children visited in key order, and builds the
-representative once, marked canonical.  canonicalize() remains for
-outside inputs.
+peel: `canonical.BeadReader`, which holds the one canonical code, codes
+every rooted tree and branch once for the pool, reads the cycle bead by
+bead in its least order over both directions, numbers the vertices
+depth-first with children visited in code order, and builds the
+representative once, marked canonical.  canonicalize() feeds the same
+reader from the peel of an outside input.
 
 `pool_size` counts the same classes without building them, from the
 ordinary generating functions of that decomposition (Polya counting, as in
@@ -380,6 +380,10 @@ def verify_suite(
     member read along the way and passes when the two routes differ by at
     most CROSS_METHOD_TOL.
     """
+    # checked first: with no m in any claim's domain no member is built, so
+    # family() would never see k
+    if k < 3:
+        raise ValueError("verify needs k >= 3")
     if m_lo > m_hi:
         raise ValueError("empty m range")
     opts = opts or IterationOptions(tolerance=1e-10)

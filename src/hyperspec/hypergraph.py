@@ -40,10 +40,10 @@ class Hypergraph:
     Invariants enforced at construction: every edge has exactly k distinct
     vertices, no duplicate edges, every vertex id in 0..n-1 occurs in at
     least one edge, edges sorted lexicographically.  `_canonical` marks a
-    representative that canonicalize() or the enumerator built, so
-    canonical_form() need not run the tree code on it again and
-    is_connected need not search it (both build connected graphs only); it
-    takes no part in equality.
+    representative that canonical.BeadReader built, for canonicalize() or
+    the enumerator, so canonical_form() need not code it again and
+    is_connected need not search it (the reader builds connected graphs
+    only); it takes no part in equality.
     """
 
     k: int

@@ -1,5 +1,6 @@
 """Canonical form: relabeling invariance and class separation."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hyperspec import (
     EdgeMove,
     FamilySpec,
     canonical_form,
+    canonical_id,
     canonicalize,
     family,
     make_hypergraph,
@@ -17,8 +19,14 @@ from hyperspec import (
     simple_s,
 )
 from hyperspec.canonical import BeadReader, _least_rotation
+from hyperspec.cli import run
 
 HYPERPATH = make_hypergraph(3, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8)])
+# a hypertree whose center is the edge (0, 1, 2): a two-edge path hangs at
+# vertex 0, one pendant edge at vertex 1 and a two-edge path at vertex 2
+CENTER_EDGE = make_hypergraph(
+    3, [(0, 1, 2), (0, 3, 4), (3, 5, 6), (1, 7, 8), (2, 9, 10), (9, 11, 12)]
+)
 
 
 def test_relabelings_of_triangle_power_agree():
@@ -149,3 +157,68 @@ def test_bead_reader_builds_canonicalize_of_the_cycle_it_reads():
 def test_canonicalize_rejects_inputs_outside_its_domain(edges):
     with pytest.raises(ValueError):
         canonicalize(make_hypergraph(3, edges))
+
+
+@pytest.mark.parametrize(
+    "k,m,lines,digest",
+    [
+        (3, 7, 148, "52d30214e5c5e1bc22bb27cf41a5d9fcfa5bad940f90d941cfad1a9d7749058f"),
+        (4, 6, 47, "3d4cab119cacc37c6072fd07eb17ac337fee7a9a2cbaf8607e0a4581266e4c08"),
+    ],
+)
+def test_enumerate_output_is_pinned(capsys, k, m, lines, digest):
+    # every canonical id and edge list of the pool, byte for byte
+    assert run(["enumerate", "--k", str(k), "--m", str(m)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "h,expected",
+    [
+        (HYPERPATH, "k3 n9 0,1,2;0,5,6;2,3,4;6,7,8"),
+        (CENTER_EDGE, "k3 n13 0,1,2;0,3,8;3,4,5;5,6,7;8,9,10;10,11,12"),
+        # girth 2: the edges (0,1,2) and (0,2,3) share two vertices
+        (move_edges(HYPERPATH, [EdgeMove(edge=1, src=3, dst=0)]).hypergraph,
+         "k3 n8 0,1,2;0,2,3;3,4,5;5,6,7"),
+        (family(FamilySpec(tag="P", k=3, m=6)),
+         "k3 n12 0,1,2;0,8,9;2,3,4;2,5,6;2,7,8;9,10,11"),
+        (family(FamilySpec(tag="Q", k=3, m=6)),
+         "k3 n12 0,1,2;0,4,9;2,3,4;4,5,6;4,7,8;9,10,11"),
+    ],
+    ids=["center-vertex", "center-edge", "girth-2", "P", "Q"],
+)
+def test_canonical_ids_are_pinned(h, expected):
+    assert canonical_id(h) == expected
+    perm = list(range(h.n))
+    random.Random(17).shuffle(perm)
+    assert canonical_id(relabel(h, perm)) == expected
+
+
+def _path(m: int, start: int, first_new: int) -> list[tuple[int, ...]]:
+    """m edges of a k = 3 hyperpath from vertex `start`, new vertices
+    numbered from first_new on."""
+    edges = []
+    for i in range(m):
+        v = first_new + 2 * i
+        edges.append((start if i == 0 else v - 1, v, v + 1))
+    return edges
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        _path(3000, 0, 1),
+        _path(1500, 0, 1) + _path(1500, 0, 3001),
+        [(0, 1, 3), (1, 2, 4), (0, 2, 5)] + _path(8000, 0, 6),
+    ],
+    ids=["hyperpath-3000", "two-1500-paths-at-a-vertex", "triangle-with-8000-edge-path"],
+)
+def test_canonical_form_of_deep_inputs(edges):
+    # deep isomorphic branches are compared at the center, and a long tree is
+    # placed in one pass; neither may recurse per level or copy per level
+    h = make_hypergraph(3, edges)
+    perm = list(range(h.n))
+    random.Random(19).shuffle(perm)
+    assert canonical_form(relabel(h, perm)) == canonical_form(h)

@@ -105,6 +105,15 @@ BAD_FILES = {
          "finite and positive"),
         (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "inf"), 2,
          "finite and positive"),
+        # no m of 1..3 is in a claim's domain, so no family member checks k
+        (("verify", "--k", "2", "--m", "1..3"), 2, "k >= 3"),
+        (("verify", "--k", "-5", "--m", "3"), 2, "'-5' is not a decimal integer"),
+        # int() would read these as 10, 3, 6 and 2
+        (("build", "--family", "S", "--k", "3", "--m", "1_0", "--g", "3"), 2,
+         "'1_0' is not a decimal integer"),
+        (("rank", "--k", "\uff13", "--m", "5"), 2, "'\uff13' is not a decimal integer"),
+        (("verify", "--k", "3", "--m", "5..+6"), 2, "'+6' is not a decimal integer"),
+        (("transform", "move", "{q6}", "--move", "0,1, 2"), 2, "' 2' is not a decimal integer"),
     ],
     ids=["enumerate-cap", "json-edges-not-a-list", "json-k-float", "json-id-float",
          "json-id-out-of-range", "json-n-string", "json-id-bool", "json-id-negative",
@@ -112,7 +121,9 @@ BAD_FILES = {
          "alpha-solve-unreachable-tol",
          "rank-max-iter", "verify-max-iter", "rho-tol-inf", "rho-tol-nan",
          "alpha-solve-tol-zero", "alpha-solve-tol-negative", "alpha-solve-tol-nan",
-         "alpha-solve-tol-inf"],
+         "alpha-solve-tol-inf", "verify-k-2-no-member", "verify-k-negative",
+         "flag-underscore", "flag-full-width-digit", "verify-range-plus-sign",
+         "move-space"],
 )
 def test_error_exit_codes(tmp_path, capsys, argv, expected, message):
     paths = {}

@@ -300,6 +300,14 @@ def test_verify_suite_marks_na_below_domain():
     assert by_claim["P<Q"].verdict == "not-applicable"
 
 
+@pytest.mark.parametrize("k,m_lo,m_hi", [(2, 1, 3), (-5, 3, 3), (2, 6, 5)])
+def test_verify_suite_rejects_k_below_3_before_anything_else(k, m_lo, m_hi):
+    # below every claim's domain no family member is built to check k, and
+    # k is checked before the m range
+    with pytest.raises(ValueError, match="k >= 3"):
+        verify_suite(k, m_lo, m_hi)
+
+
 def test_verify_suite_rejects_empty_range():
     with pytest.raises(ValueError, match="empty"):
         verify_suite(3, 6, 5)
