@@ -216,11 +216,7 @@ def _ranks(keys: list) -> list[int]:
 def canonical_form(h: Hypergraph) -> bytes:
     """Canonical byte string; equal iff hypergraphs are isomorphic.  A
     representative marked canonical is encoded without a second tree code."""
-    return encode_canonical(h if h._canonical else canonicalize(h))
-
-
-def encode_canonical(c: Hypergraph) -> bytes:
-    """The canonical_form() of c, for a c that canonicalize() returned."""
+    c = h if h._canonical else canonicalize(h)
     body = ";".join(",".join(map(str, e)) for e in c.edges)
     return f"k{c.k} n{c.n} {body}".encode("ascii")
 

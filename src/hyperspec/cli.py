@@ -167,8 +167,12 @@ def _cmd_profile(args) -> int:
 
 def _match_alpha_family(h) -> tuple[str, float] | None:
     """Recognize the input as a P- or O-family member and return its exact
-    alpha, or None."""
-    if structural_profile(h).classification != "unicyclic":
+    alpha, or None.  Both families are unicyclic with girth 3 and exactly
+    m - 3 pendent edges (checked for k = 3..8, m <= 16), so any other
+    profile (girth None: not unicyclic) is refused before P, O or a
+    canonical form is built."""
+    prof = structural_profile(h)
+    if prof.girth != 3 or len(prof.pendent_edges) != h.m - 3:
         return None
     key = canonical_form(h)
     if h.m >= 5:

@@ -42,7 +42,7 @@ from itertools import product
 from math import gcd
 
 from .alpha_normal import rho_from_alpha, solve_alpha_O, solve_alpha_P
-from .canonical import BeadReader, canonical_form, canonical_id, encode_canonical
+from .canonical import BeadReader, canonical_form, canonical_id
 from .families import _POWER_TAGS, FamilySpec, family, simple_family_graph
 from .hypergraph import Hypergraph
 from .spectral import IterationOptions, SpectralResult, spectral_radii_tensor
@@ -268,7 +268,7 @@ def enumerate_linear_unicyclic(
     pool = [
         reader.build(seq) for g in range(3, m + 1) for seq in beads.necklaces(g, m - g)
     ]
-    return sorted(pool, key=encode_canonical)
+    return sorted(pool, key=canonical_form)
 
 
 @dataclass(frozen=True)

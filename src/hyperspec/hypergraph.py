@@ -37,9 +37,12 @@ __all__ = [
 class Hypergraph:
     """k-uniform hypergraph in normalized form.
 
-    Invariants enforced at construction: every edge has exactly k distinct
-    vertices, no duplicate edges, every vertex id in 0..n-1 occurs in at
-    least one edge, edges sorted lexicographically.  `_canonical` marks a
+    The one validator of an edge list: construction checks that every edge
+    has exactly k distinct vertices and is sorted, that the edges are in
+    strict lexicographic order (so none is repeated), and that the ids used
+    are exactly 0..n-1.  make_hypergraph() and the file readers only
+    normalize, and the readers never renumber, so an error about a file
+    names its ids as written.  `_canonical` marks a
     representative that canonical.BeadReader built, for canonicalize() or
     the enumerator, so canonical_form() need not code it again and
     is_connected need not search it (the reader builds connected graphs
@@ -57,18 +60,22 @@ class Hypergraph:
         if not self.edges:
             raise ValueError("edge list is empty")
         used: set[int] = set()
-        prev = None
+        prev: tuple[int, ...] = ()  # below every edge
         for e in self.edges:
             if len(e) != self.k or len(set(e)) != self.k:
                 raise ValueError(f"edge {e} does not have {self.k} distinct vertices")
             if tuple(sorted(e)) != e:
                 raise ValueError(f"edge {e} is not sorted")
-            if prev is not None and e <= prev:
-                raise ValueError("edges not in strict lexicographic order")
+            if e <= prev:
+                raise ValueError(f"duplicate edge {e}" if e == prev else f"edge {e} is out of order")
             prev = e
             used.update(e)
-        if used != set(range(self.n)):
-            raise ValueError("vertex ids must be exactly 0..n-1 with no isolated vertices")
+        # count, least and greatest id suffice, so a huge n builds no range
+        lo, hi = min(used), max(used)
+        if (len(used), lo, hi) != (self.n, 0, self.n - 1):
+            raise ValueError(
+                f"vertex count {self.n} does not match the edges: {len(used)} ids from {lo} to {hi}"
+            )
 
     @property
     def m(self) -> int:
@@ -158,21 +165,17 @@ class Hypergraph:
 def make_hypergraph(k: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     """Build a normalized hypergraph from raw edges.
 
-    Vertex ids are compacted to 0..n-1 preserving their relative order;
-    edges are sorted.  Raises ValueError on wrong edge size, duplicate
-    edges, or an empty edge list.
+    Normalizes only: each edge is sorted, vertex ids are compacted to
+    0..n-1 preserving their relative order, and the edges are sorted.
+    Hypergraph raises the ValueError for a wrong edge size, a repeated
+    vertex, a duplicate edge or an empty edge list, naming an edge in its
+    compacted ids.
     """
     raw = [tuple(sorted(e)) for e in edges]
-    if not raw:
-        raise ValueError("edge list is empty")
-    for e in raw:
-        if len(e) != k or len(set(e)) != k:
-            raise ValueError(f"edge {tuple(e)} does not have {k} distinct vertices")
-    if len(set(raw)) != len(raw):
-        raise ValueError("duplicate edge")
     ids = sorted({v for e in raw for v in e})
     remap = {v: i for i, v in enumerate(ids)}
-    norm = sorted(tuple(sorted(remap[v] for v in e)) for e in raw)
+    # the remap keeps the order of ids, so each edge stays sorted
+    norm = sorted(tuple(remap[v] for v in e) for e in raw)
     return Hypergraph(k=k, n=len(ids), edges=tuple(norm))
 
 
@@ -306,13 +309,15 @@ def hypergraph_to_json(h: Hypergraph) -> str:
 
 def hypergraph_from_json(text: str) -> Hypergraph:
     """Read {"k": int, "n": int, "edges": [[int, ...], ...]}.  k, n and every
-    vertex id must be JSON integers and every id lie in 0..n-1, so ids are
-    never renumbered; edges, and the ids within an edge, may be unsorted."""
-    obj = json.loads(text)
+    vertex id must be JSON integers and every id lie in 0..n-1; edges, and
+    the ids within an edge, may be unsorted.  Ids are never renumbered."""
     try:
+        obj = json.loads(text)
         k, n, edges = obj["k"], obj["n"], obj["edges"]
         ids = [v for e in edges for v in e]
-    except TypeError as exc:  # e.g. "edges": 5, or a JSON list at top level
+    # TypeError: e.g. "edges": 5, or a JSON list at top level;
+    # RecursionError: arrays nested too deep for the decoder
+    except (TypeError, RecursionError) as exc:
         raise ValueError(f"malformed hypergraph JSON: {exc}") from None
     for name, v in (("k", k), ("n", n)):
         if type(v) is not int:  # not bool, float or str
@@ -320,10 +325,7 @@ def hypergraph_from_json(text: str) -> Hypergraph:
     for v in ids:
         if type(v) is not int or not 0 <= v < n:
             raise ValueError(f"vertex id {v!r} is not an integer in 0..{n - 1}")
-    h = make_hypergraph(k, edges)
-    if h.n != n:
-        raise ValueError(f"vertex count {n} does not match edges (got {h.n})")
-    return h
+    return Hypergraph(k=k, n=n, edges=tuple(sorted(tuple(sorted(e)) for e in edges)))
 
 
 def hypergraph_to_text(h: Hypergraph) -> str:
@@ -334,9 +336,9 @@ def hypergraph_to_text(h: Hypergraph) -> str:
 
 def hypergraph_from_text(text: str) -> Hypergraph:
     """Read a 'k m' line and then m edge lines of k ids.  Every number is
-    plain ASCII decimal digits (no sign, underscore or other numerals), and
-    the ids must be exactly 0..n-1, as in the JSON format, so they are never
-    renumbered."""
+    plain ASCII decimal digits (no sign, underscore or other numerals).  n
+    is one more than the largest id, and the ids must be exactly 0..n-1, as
+    in the JSON format, so they are never renumbered."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty hypergraph file")
@@ -346,13 +348,9 @@ def hypergraph_from_text(text: str) -> Hypergraph:
     k, m = (_decimal(x) for x in head)
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = [[_decimal(x) for x in ln.split()] for ln in lines[1:]]
-    ids = {v for e in edges for v in e}
-    if ids != set(range(len(ids))):
-        raise ValueError(
-            f"vertex ids must be exactly 0..n-1, got {len(ids)} ids from {min(ids)} to {max(ids)}"
-        )
-    return make_hypergraph(k, edges)
+    edges = sorted(tuple(sorted(_decimal(x) for x in ln.split())) for ln in lines[1:])
+    n = 1 + max((e[-1] for e in edges), default=-1)
+    return Hypergraph(k=k, n=n, edges=tuple(edges))
 
 
 def _decimal(token: str) -> int:

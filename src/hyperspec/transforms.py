@@ -42,7 +42,8 @@ def move_edges(h: Hypergraph, moves: list[EdgeMove]) -> MoveResult:
 
     Vertices orphaned by the moves are compacted away; the returned map
     records surviving ids.  Raises ValueError when a move references a
-    vertex outside/inside the wrong edge or the result has duplicate edges.
+    vertex outside/inside the wrong edge; a result with a duplicate edge is
+    refused by Hypergraph, which names that edge in the surviving ids.
     """
     if not moves:
         raise ValueError("no moves given")
@@ -66,12 +67,9 @@ def move_edges(h: Hypergraph, moves: list[EdgeMove]) -> MoveResult:
         if u in e:
             raise ValueError(f"target vertex {u} already in edge {mv.edge}")
         new_edges[mv.edge] = (e - {mv.src}) | {u}
-    frozen = [tuple(sorted(e)) for e in new_edges]
-    if len(set(frozen)) != len(frozen):
-        raise ValueError("move would create a duplicate edge")
-    used = sorted({v for e in frozen for v in e})
+    used = sorted(set().union(*new_edges))
     vmap = {v: i for i, v in enumerate(used)}
-    out = make_hypergraph(h.k, [[vmap[v] for v in e] for e in frozen])
+    out = make_hypergraph(h.k, [[vmap[v] for v in e] for e in new_edges])
     return MoveResult(hypergraph=out, vertex_map=vmap)
 
 
@@ -152,9 +150,7 @@ def yss_move(h: Hypergraph, e_idx: int, f_idx: int) -> Hypergraph:
     edges = []
     for j, edge in enumerate(h.edges):
         if j != f_idx and v1 in edge:
-            edges.append(tuple(sorted((set(edge) - {v1}) | {u2})))
+            edges.append((set(edge) - {v1}) | {u2})
         else:
             edges.append(edge)
-    if len(set(edges)) != len(edges):
-        raise ValueError("move would create a duplicate edge")
     return make_hypergraph(h.k, edges)

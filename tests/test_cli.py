@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hyperspec import cli
 from hyperspec.cli import run
 
 
@@ -63,6 +64,20 @@ def test_rho_alpha_rejects_non_unicyclic_input(tmp_path, capsys, text):
     assert "P and O" in err
 
 
+def test_rho_alpha_refuses_by_profile_before_canonical_code(tmp_path, capsys, monkeypatch):
+    # a triangle with a 50-edge hanging path has one pendent edge, not m - 3
+    path = [[0 if i == 0 else 5 + 2 * i, 6 + 2 * i, 7 + 2 * i] for i in range(50)]
+    edges = [[0, 1, 3], [1, 2, 4], [0, 2, 5]] + path
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"k": 3, "n": 106, "edges": edges}))
+    calls = []
+    monkeypatch.setattr(cli, "canonical_form", lambda h: calls.append(h))
+    code, _, err = invoke(capsys, "rho", str(g), "--method", "alpha")
+    assert code == 2
+    assert "P and O" in err
+    assert calls == []
+
+
 BAD_FILES = {
     "bad_json": '{"k": 3, "n": 3, "edges": 5}',
     "k_float": '{"k": 3.7, "n": 5, "edges": [[0, 1, 2], [2, 3, 4]]}',
@@ -77,6 +92,8 @@ BAD_FILES = {
     # int() would read these as 4 and 3
     "text_underscore": "3 2\n0 1 2\n2 3 0_4",
     "text_plus_sign": "+3 2\n0 1 2\n2 3 4",
+    # the decoder raises RecursionError on arrays nested this deep
+    "json_deep": '{"k": 3, "n": 3, "edges": ' + "[" * 100000 + "]" * 100000 + "}",
 }
 
 
@@ -94,6 +111,7 @@ BAD_FILES = {
         (("rho", "{text_id_gap}", "--perron"), 2, "ids from 0 to 9"),
         (("rho", "{text_underscore}"), 2, "'0_4' is not a decimal integer"),
         (("profile", "{text_plus_sign}"), 2, "'+3' is not a decimal integer"),
+        (("profile", "{json_deep}"), 2, "malformed hypergraph JSON"),
         (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "1e-30"), 3, "bisection"),
         (("rank", "--k", "3", "--m", "5", "--max-iter", "3"), 3, "did not reach"),
         (("verify", "--k", "3", "--m", "5", "--max-iter", "3"), 3, "did not reach"),
@@ -117,7 +135,7 @@ BAD_FILES = {
     ],
     ids=["enumerate-cap", "json-edges-not-a-list", "json-k-float", "json-id-float",
          "json-id-out-of-range", "json-n-string", "json-id-bool", "json-id-negative",
-         "text-id-gap", "text-underscore", "text-plus-sign",
+         "text-id-gap", "text-underscore", "text-plus-sign", "json-nested-too-deep",
          "alpha-solve-unreachable-tol",
          "rank-max-iter", "verify-max-iter", "rho-tol-inf", "rho-tol-nan",
          "alpha-solve-tol-zero", "alpha-solve-tol-negative", "alpha-solve-tol-nan",

@@ -2,12 +2,15 @@
 
 import random
 import re
+import resource
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
 
 from hyperspec import (
     FamilySpec,
+    Hypergraph,
     family,
     hypergraph_from_json,
     hypergraph_from_text,
@@ -283,6 +286,43 @@ def test_file_round_trip(tmp_path):
 def test_json_vertex_count_mismatch_rejected():
     with pytest.raises(ValueError, match="vertex count"):
         hypergraph_from_json('{"k": 3, "n": 7, "edges": [[0, 1, 2]]}')
+
+
+def test_constructor_names_a_duplicate_edge():
+    with pytest.raises(ValueError, match=re.escape("duplicate edge (0, 1, 2)")):
+        Hypergraph(k=3, n=5, edges=((0, 1, 2), (0, 1, 2), (2, 3, 4)))
+
+
+@contextmanager
+def address_space_cap(extra=1 << 30):
+    """Let this process map at most `extra` more bytes inside the block, so
+    an id check that builds set(range(n)) for a huge n raises MemoryError
+    instead of exhausting the machine."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:  # Linux: first field is pages mapped
+        mapped = int(fh.read().split()[0]) * resource.getpagesize()
+    cap = mapped + extra if hard == resource.RLIM_INFINITY else min(mapped + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def test_json_huge_vertex_count_rejected_without_a_range():
+    with address_space_cap(), pytest.raises(ValueError, match="vertex count"):
+        hypergraph_from_json('{"k": 3, "n": 100000000000, "edges": [[0, 1, 2]]}')
+
+
+def test_text_huge_id_rejected_without_a_range():
+    with address_space_cap(), pytest.raises(ValueError, match="ids from 0 to 99999999999999"):
+        hypergraph_from_text("3 1\n0 1 99999999999999\n")
+
+
+def test_json_nested_too_deep_is_malformed():
+    text = '{"k": 3, "n": 3, "edges": ' + "[" * 100000 + "]" * 100000 + "}"
+    with pytest.raises(ValueError, match="malformed hypergraph JSON"):
+        hypergraph_from_json(text)
 
 
 def test_json_accepts_unsorted_edges_and_keeps_ids():
