@@ -59,6 +59,9 @@ from .spectral import (
 from .transforms import EdgeMove, move_edges, relocate, yss_move
 
 _SCALARS = {"f_P": f_P, "f_O": f_O, "gamma": gamma, "phi": phi, "psi": psi}
+# Q's supernormal labeling takes P's alpha
+_SOLVERS = {"P": solve_alpha_P, "O": solve_alpha_O, "Q": solve_alpha_P}
+_BUILDERS = {"P": build_B_P, "O": build_B_O, "Q": build_B_Q_supernormal}
 
 
 def _fmt(x: float) -> str:
@@ -87,12 +90,18 @@ def _render_json(obj) -> str:
     raise TypeError(f"cannot render {type(obj)!r}")
 
 
-def _csv(rows: list[list[str]]) -> str:
-    quoted = [
-        ",".join(f'"{c}"' if ("," in c or '"' in c) else c for c in row)
-        for row in rows
-    ]
-    return "\n".join(quoted) + "\n"
+def _table(header: list[str], rows: list[list[str]], fmt: str,
+           tail: tuple[str, ...] = ()) -> str:
+    """csv, or a markdown table followed by the lines of `tail`."""
+    if fmt == "csv":
+        quoted = [
+            ",".join(f'"{c}"' if ("," in c or '"' in c) else c for c in row)
+            for row in [header] + rows
+        ]
+        return "\n".join(quoted) + "\n"
+    out = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    out += ["| " + " | ".join(row) + " |" for row in rows]
+    return "\n".join([*out, *tail]) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -101,6 +110,14 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write(h, out_path: str | None) -> None:
+    """Save a hypergraph to `out_path`, or write its JSON to stdout."""
+    if out_path:
+        save_hypergraph(h, out_path)
+    else:
+        sys.stdout.write(hypergraph_to_json(h) + "\n")
 
 
 class _BadInteger(Exception):
@@ -131,10 +148,9 @@ def _add_iter_flags(parser, default_tol=1e-12):
 def _add_pool_flags(parser):
     parser.add_argument("--k", type=_integer, required=True)
     parser.add_argument("--m", type=_integer, required=True)
-    parser.add_argument("--cap", type=_integer, default=DEFAULT_CAP,
-                        help=f"refuse a pool of more than CAP classes (default {DEFAULT_CAP})")
-    parser.add_argument("--allow-large", action="store_const", const=None, dest="cap",
-                        help="lift the class cap")
+    parser.add_argument("--allow-large", action="store_const", const=None,
+                        default=DEFAULT_CAP, dest="cap",
+                        help=f"lift the cap of {DEFAULT_CAP} classes per pool")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -150,11 +166,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_build(args) -> int:
     spec = FamilySpec(tag=args.family, k=args.k, m=args.m, g=args.g)
-    h = family(spec)
-    if args.output:
-        save_hypergraph(h, args.output)
-    else:
-        sys.stdout.write(hypergraph_to_json(h) + "\n")
+    _write(family(spec), args.output)
     return 0
 
 
@@ -234,19 +246,11 @@ def _cmd_alpha(args) -> int:
         sys.stdout.write(_fmt(value) + "\n")
         return 0
     if args.action == "solve":
-        solver = solve_alpha_P if args.family == "P" else solve_alpha_O
-        sys.stdout.write(_fmt(solver(args.r, args.tol)) + "\n")
+        sys.stdout.write(_fmt(_SOLVERS[args.family](args.r, args.tol)) + "\n")
         return 0
     # emit
-    if args.family == "P":
-        alpha = args.alpha if args.alpha is not None else solve_alpha_P(args.m - 4)
-        w = build_B_P(args.m, args.k, alpha)
-    elif args.family == "O":
-        alpha = args.alpha if args.alpha is not None else solve_alpha_O(args.m - 4)
-        w = build_B_O(args.m, args.k, alpha)
-    else:
-        alpha = args.alpha if args.alpha is not None else solve_alpha_P(args.m - 4)
-        w = build_B_Q_supernormal(args.m, args.k, alpha)
+    alpha = args.alpha if args.alpha is not None else _SOLVERS[args.family](args.m - 4)
+    w = _BUILDERS[args.family](args.m, args.k, alpha)
     report = check_normal(w, alpha)
     _emit(weights_to_text(w), args.output)
     sys.stdout.write(_render_json(report.to_json_dict()) + "\n")
@@ -264,21 +268,13 @@ def _cmd_transform(args) -> int:
             edge, src, dst = map(_integer, parts)
             moves.append(EdgeMove(edge=edge, src=src, dst=dst))
         result = move_edges(h, moves)
-        if args.output:
-            save_hypergraph(result.hypergraph, args.output)
-        else:
-            sys.stdout.write(hypergraph_to_json(result.hypergraph) + "\n")
+        _write(result.hypergraph, args.output)
         sys.stdout.write(
             _render_json({"vertex_map": {str(a): b for a, b in sorted(result.vertex_map.items())}}) + "\n"
         )
         return 0
     if args.action == "yss":
-        h = load_hypergraph(args.input)
-        out = yss_move(h, args.e, args.f)
-        if args.output:
-            save_hypergraph(out, args.output)
-        else:
-            sys.stdout.write(hypergraph_to_json(out) + "\n")
+        _write(yss_move(load_hypergraph(args.input), args.e, args.f), args.output)
         return 0
     # relocate
     g1 = load_hypergraph(args.input)
@@ -315,14 +311,9 @@ def _rank_table(entries: list[RankEntry], fmt: str) -> str:
             for e in entries
         ]
         return _render_json(rows) + "\n"
-    header = ["rank", "tied", "rho", "canonical_id"]
     rows = [[str(e.rank), "yes" if e.tied else "no", _fmt(e.rho), e.canonical_id]
             for e in entries]
-    if fmt == "csv":
-        return _csv([header] + rows)
-    out = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    out += ["| " + " | ".join(row) + " |" for row in rows]
-    return "\n".join(out) + "\n"
+    return _table(["rank", "tied", "rho", "canonical_id"], rows, fmt)
 
 
 def _cmd_rank(args) -> int:
@@ -350,13 +341,8 @@ def _verify_table(reports: list[VerificationReport], fmt: str) -> str:
                 "" if inst.gap is None else _fmt(inst.gap),
                 inst.status,
             ])
-    summary = [f"{rep.claim}: {rep.verdict}" for rep in reports]
-    if fmt == "csv":
-        return _csv([header] + rows)
-    out = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    out += ["| " + " | ".join(row) + " |" for row in rows]
-    out += ["", "Summary:"] + [f"- {s}" for s in summary]
-    return "\n".join(out) + "\n"
+    summary = ("", "Summary:", *(f"- {rep.claim}: {rep.verdict}" for rep in reports))
+    return _table(header, rows, fmt, summary)
 
 
 def _cmd_verify(args) -> int:

@@ -261,7 +261,7 @@ def enumerate_linear_unicyclic(
     if cap is not None and (size := pool_size(k, m)) > cap:
         raise CapExceededError(
             f"class cap exceeded at m={m}: {size} > {cap}; "
-            "pass a larger --cap, or --allow-large to lift it"
+            "pass --allow-large to lift it"
         )
     beads = _Beads(k, m - 3)
     reader = BeadReader(k, beads.trees, beads.branches, beads.beads)

@@ -1,6 +1,7 @@
 """Builders for the named unicyclic graph and hypergraph families.
 
-Simple-graph families (k = 2 hypergraphs, all later raised to k-th powers):
+Every family is the k-th power of a simple graph (a k = 2 hypergraph), plus
+pendant k-edges at named vertices.  Simple graphs:
 
 * cycle C_g and star K_{1,s};
 * S_{m,g}: cycle of length g with a star of m-g pendant edges at one vertex;
@@ -8,7 +9,7 @@ Simple-graph families (k = 2 hypergraphs, all later raised to k-th powers):
 * T_{m,2}: S_{m-2,3} plus two pendant edges at a degree-2 cycle vertex;
 * U_{m,1}: S_{m-1,3} plus one pendant edge at a star leaf.
 
-Non-power hypergraph families, built on the k-th power of a triangle:
+Non-power families, which share one triangle layout (`_triangle_family`):
 
 * O_m: a hyperstar of m-3 pendant k-edges centered at a cored cycle vertex;
 * Q_m: power of S_{m-1,3} with a pendant k-edge at a cored vertex of a
@@ -122,34 +123,36 @@ def simple_s(m: int, g: int) -> Hypergraph:
     return make_hypergraph(2, edges)
 
 
+def _attach_pendants(h: Hypergraph, anchors: list[int]) -> Hypergraph:
+    """Add one pendant k-edge (k-1 fresh vertices) per anchor, in order."""
+    edges = list(h.edges)
+    nxt = h.n
+    for v in anchors:
+        edges.append(tuple(sorted((v, *range(nxt, nxt + h.k - 1)))))
+        nxt += h.k - 1
+    # the fresh ids follow h's ids, so 0..nxt-1 are all used and need no compaction
+    return Hypergraph(k=h.k, n=nxt, edges=tuple(sorted(edges)))
+
+
 def simple_t1(m: int) -> Hypergraph:
     """S_{m-1,3} (center 0) plus one pendant leaf at cycle vertex 1."""
     if m < 4:
         raise ValueError("T1 needs m >= 4")
-    edges = [(0, 1), (0, 2), (1, 2)]
-    edges += [(0, 3 + i) for i in range(m - 4)]
-    edges += [(1, m - 1)]
-    return make_hypergraph(2, edges)
+    return _attach_pendants(simple_s(m - 1, 3), [1])
 
 
 def simple_t2(m: int) -> Hypergraph:
     """S_{m-2,3} (center 0) plus two pendant leaves at cycle vertex 1."""
     if m < 5:
         raise ValueError("T2 needs m >= 5")
-    edges = [(0, 1), (0, 2), (1, 2)]
-    edges += [(0, 3 + i) for i in range(m - 5)]
-    edges += [(1, m - 2), (1, m - 1)]
-    return make_hypergraph(2, edges)
+    return _attach_pendants(simple_s(m - 2, 3), [1, 1])
 
 
 def simple_u1(m: int) -> Hypergraph:
     """S_{m-1,3} (center 0) plus one pendant leaf at the star leaf 3."""
     if m < 5:
         raise ValueError("U1 needs m >= 5")
-    edges = [(0, 1), (0, 2), (1, 2)]
-    edges += [(0, 3 + i) for i in range(m - 4)]
-    edges += [(3, m - 1)]
-    return make_hypergraph(2, edges)
+    return _attach_pendants(simple_s(m - 1, 3), [3])
 
 
 def simple_family_graph(tag: str, m: int, g: int | None = None) -> Hypergraph:
@@ -170,16 +173,6 @@ def simple_family_graph(tag: str, m: int, g: int | None = None) -> Hypergraph:
     raise ValueError(f"{tag} is not a power family")
 
 
-def _attach_pendants(h: Hypergraph, anchors: list[int]) -> Hypergraph:
-    """Add one pendant k-edge (k-1 fresh vertices) per anchor, in order."""
-    edges = list(h.edges)
-    nxt = h.n
-    for v in anchors:
-        edges.append(tuple(sorted((v, *range(nxt, nxt + h.k - 1)))))
-        nxt += h.k - 1
-    return make_hypergraph(h.k, edges)
-
-
 def _edge_index(h: Hypergraph, members: set[int]) -> int:
     for j, e in enumerate(h.edges):
         if members <= set(e):
@@ -193,48 +186,37 @@ def _fresh_of(h: Hypergraph, a: int, b: int) -> int:
     return min(v for v in e if h.degrees[v] == 1)
 
 
-def family_p_with_roles(k: int, m: int) -> tuple[Hypergraph, CycleRoles]:
-    FamilySpec("P", k, m)
-    base = power_hypergraph(simple_s(m - 1, 3), k)
-    w = _fresh_of(base, 1, 2)
-    h = _attach_pendants(base, [w])
-    e1 = _edge_index(h, {0, 1})
-    e2 = _edge_index(h, {0, 2})
-    e3 = _edge_index(h, {1, 2})
-    pend_v2 = tuple(j for j, e in enumerate(h.edges) if 0 in e and j not in (e1, e2))
-    pend_w = tuple(j for j, e in enumerate(h.edges) if w in e and j != e3)
-    roles = CycleRoles(v1=1, v2=0, v3=2, w=w, e1=e1, e2=e2, e3=e3,
+def _triangle_family(base: Hypergraph, labels: tuple[int, int, int],
+                     w_edge: tuple[int, int], pendants: int) -> tuple[Hypergraph, CycleRoles]:
+    """`base` with `pendants` pendant k-edges at w, the least cored vertex of
+    the base edge through `w_edge`, and its roles.  The triangle 0, 1, 2 of
+    `base` is relabeled (v1, v2, v3) = `labels`, so e1 = v1v2, e2 = v2v3 and
+    e3 = v3v1, the orientation alpha_normal reads the weights in."""
+    w = _fresh_of(base, *w_edge)
+    h = _attach_pendants(base, [w] * pendants)
+    v1, v2, v3 = labels
+    e1, e2, e3 = (_edge_index(h, {a, b}) for a, b in ((v1, v2), (v2, v3), (v3, v1)))
+    pend_v2 = tuple(j for j, e in enumerate(h.edges) if v2 in e and j not in (e1, e2))
+    # w is cored, so the one cycle edge through it is w's cycle edge
+    pend_w = tuple(j for j, e in enumerate(h.edges) if w in e and j not in (e1, e2, e3))
+    roles = CycleRoles(v1=v1, v2=v2, v3=v3, w=w, e1=e1, e2=e2, e3=e3,
                        pendants_v2=pend_v2, pendants_w=pend_w)
     return h, roles
+
+
+def family_p_with_roles(k: int, m: int) -> tuple[Hypergraph, CycleRoles]:
+    FamilySpec("P", k, m)
+    return _triangle_family(power_hypergraph(simple_s(m - 1, 3), k), (1, 0, 2), (1, 2), 1)
 
 
 def family_q_with_roles(k: int, m: int) -> tuple[Hypergraph, CycleRoles]:
     FamilySpec("Q", k, m)
-    base = power_hypergraph(simple_s(m - 1, 3), k)
-    w = _fresh_of(base, 0, 1)
-    h = _attach_pendants(base, [w])
-    e2 = _edge_index(h, {0, 1})
-    e1 = _edge_index(h, {0, 2})
-    e3 = _edge_index(h, {1, 2})
-    pend_v2 = tuple(j for j, e in enumerate(h.edges) if 0 in e and j not in (e1, e2))
-    pend_w = tuple(j for j, e in enumerate(h.edges) if w in e and j != e2)
-    roles = CycleRoles(v1=2, v2=0, v3=1, w=w, e1=e1, e2=e2, e3=e3,
-                       pendants_v2=pend_v2, pendants_w=pend_w)
-    return h, roles
+    return _triangle_family(power_hypergraph(simple_s(m - 1, 3), k), (2, 0, 1), (0, 1), 1)
 
 
 def family_o_with_roles(k: int, m: int) -> tuple[Hypergraph, CycleRoles]:
     FamilySpec("O", k, m)
-    base = power_hypergraph(simple_cycle(3), k)
-    w = _fresh_of(base, 0, 1)
-    h = _attach_pendants(base, [w] * (m - 3))
-    e3 = _edge_index(h, {0, 1})
-    e1 = _edge_index(h, {0, 2})
-    e2 = _edge_index(h, {1, 2})
-    pend_w = tuple(j for j, e in enumerate(h.edges) if w in e and j != e3)
-    roles = CycleRoles(v1=0, v2=2, v3=1, w=w, e1=e1, e2=e2, e3=e3,
-                       pendants_v2=(), pendants_w=pend_w)
-    return h, roles
+    return _triangle_family(power_hypergraph(simple_cycle(3), k), (0, 2, 1), (0, 1), m - 3)
 
 
 def family(spec: FamilySpec) -> Hypergraph:

@@ -315,8 +315,11 @@ def hypergraph_from_json(text: str) -> Hypergraph:
         obj = json.loads(text)
         k, n, edges = obj["k"], obj["n"], obj["edges"]
         ids = [v for e in edges for v in e]
+    # KeyError: a missing "k", "n" or "edges";
     # TypeError: e.g. "edges": 5, or a JSON list at top level;
     # RecursionError: arrays nested too deep for the decoder
+    except KeyError as exc:
+        raise ValueError(f"malformed hypergraph JSON: missing key {exc}") from None
     except (TypeError, RecursionError) as exc:
         raise ValueError(f"malformed hypergraph JSON: {exc}") from None
     for name, v in (("k", k), ("n", n)):
@@ -355,7 +358,10 @@ def hypergraph_from_text(text: str) -> Hypergraph:
 
 def _decimal(token: str) -> int:
     if not (token.isascii() and token.isdigit()):
-        raise ValueError(f"{token!r} is not a decimal integer")
+        # a file or flag may hold one token of any length; name a long one
+        # by its head and its length, so the message stays short
+        shown = repr(token) if len(token) <= 20 else f"{token[:20]!r}… ({len(token)} characters)"
+        raise ValueError(f"{shown} is not a decimal integer")
     return int(token)
 
 

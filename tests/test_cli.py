@@ -94,13 +94,15 @@ BAD_FILES = {
     "text_plus_sign": "+3 2\n0 1 2\n2 3 4",
     # the decoder raises RecursionError on arrays nested this deep
     "json_deep": '{"k": 3, "n": 3, "edges": ' + "[" * 100000 + "]" * 100000 + "}",
+    "json_missing_key": '{"k": 3, "edges": [[0, 1, 2]]}',
 }
 
 
 @pytest.mark.parametrize(
     "argv,expected,message",
     [
-        (("enumerate", "--k", "3", "--m", "5", "--cap", "2"), 2, "cap exceeded"),
+        # 28 627 classes, above the default cap of 20 000
+        (("enumerate", "--k", "3", "--m", "11"), 2, "cap exceeded"),
         (("rho", "{bad_json}"), 2, "malformed hypergraph JSON"),
         (("profile", "{k_float}"), 2, "k must be a JSON integer"),
         (("profile", "{id_float}"), 2, "vertex id 1.5"),
@@ -112,6 +114,7 @@ BAD_FILES = {
         (("rho", "{text_underscore}"), 2, "'0_4' is not a decimal integer"),
         (("profile", "{text_plus_sign}"), 2, "'+3' is not a decimal integer"),
         (("profile", "{json_deep}"), 2, "malformed hypergraph JSON"),
+        (("profile", "{json_missing_key}"), 2, "missing key 'n'"),
         (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "1e-30"), 3, "bisection"),
         (("rank", "--k", "3", "--m", "5", "--max-iter", "3"), 3, "did not reach"),
         (("verify", "--k", "3", "--m", "5", "--max-iter", "3"), 3, "did not reach"),
@@ -136,6 +139,7 @@ BAD_FILES = {
     ids=["enumerate-cap", "json-edges-not-a-list", "json-k-float", "json-id-float",
          "json-id-out-of-range", "json-n-string", "json-id-bool", "json-id-negative",
          "text-id-gap", "text-underscore", "text-plus-sign", "json-nested-too-deep",
+         "json-missing-key",
          "alpha-solve-unreachable-tol",
          "rank-max-iter", "verify-max-iter", "rho-tol-inf", "rho-tol-nan",
          "alpha-solve-tol-zero", "alpha-solve-tol-negative", "alpha-solve-tol-nan",
@@ -264,6 +268,33 @@ def test_shift_flag_is_gone(capsys, argv):
         run([*argv, "--shift", "1e17"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --shift" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("enumerate", "--k", "3", "--m", "5"), ("rank", "--k", "3", "--m", "5")],
+    ids=["enumerate", "rank"],
+)
+def test_cap_flag_is_gone(capsys, argv):
+    # --allow-large is the one pool flag; the default cap is fixed
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("profile", "{path}"), ("rank", "--k", "3", "--m", "5" + "x" * 100000)],
+    ids=["text-file", "flag"],
+)
+def test_long_bad_token_gives_a_short_message(tmp_path, capsys, argv):
+    path = tmp_path / "long.txt"
+    path.write_text("3 1\n0 1 " + "[" * 100000 + "]" * 100000 + "\n")
+    code, _, err = invoke(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2
+    assert "is not a decimal integer" in err
+    assert len(err.encode()) < 1024
 
 
 def test_rank_formats(capsys):

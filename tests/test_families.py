@@ -1,14 +1,18 @@
 """Family builders: parameter domains, shapes, and role bookkeeping."""
 
+import hashlib
+
 import pytest
 
 from hyperspec import (
+    FAMILY_TAGS,
     FamilySpec,
     canonical_form,
     family,
     family_o_with_roles,
     family_p_with_roles,
     family_q_with_roles,
+    simple_family_graph,
     structural_profile,
 )
 
@@ -160,3 +164,52 @@ def test_q_pendant_slot_choice_is_interchangeable_for_k4():
         forms.add(canonical_form(make_hypergraph(4, edges)))
     assert len(forms) == 1
     assert forms.pop() == canonical_form(family(FamilySpec(tag="Q", k=4, m=5)))
+
+
+_LEAST_M = {"Hyperstar": 1, "CyclePower": 3, "S": 3, "T1": 4, "T2": 5, "U1": 5,
+            "O": 4, "P": 5, "Q": 5}
+
+
+def _girths(tag, m):
+    """Every girth a member with m edges can take: none outside S and
+    CyclePower, g = m for a cycle power, and 3..m for S."""
+    if tag == "CyclePower":
+        return [m]
+    if tag == "S":
+        return list(range(3, m + 1))
+    return [None]
+
+
+def _family_serialization() -> str:
+    roles_of = {"P": family_p_with_roles, "Q": family_q_with_roles, "O": family_o_with_roles}
+    lines = []
+    for tag in FAMILY_TAGS:
+        for m in range(_LEAST_M[tag], 13):
+            for g in _girths(tag, m):
+                for k in range(3, 7):
+                    lines.append(repr((tag, k, m, g, family(FamilySpec(tag, k, m, g)))))
+                    if tag in roles_of:
+                        lines.append(repr(roles_of[tag](k, m)[1]))
+                if tag not in roles_of:
+                    lines.append(repr((tag, m, g, simple_family_graph(tag, m, g))))
+    return "\n".join(lines) + "\n"
+
+
+def test_family_members_and_roles_are_pinned():
+    """Every member for k = 3..6 and m up to 12, every simple base graph and
+    every CycleRoles, serialized by repr; the digest pins labels and roles
+    byte for byte."""
+    digest = hashlib.sha256(_family_serialization().encode("ascii")).hexdigest()
+    assert digest == "7fcea5d45e994f3eb46591185d9359e784f77b64b5f9caef18c431560e5e3d4a"
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+@pytest.mark.parametrize("build", [family_p_with_roles, family_q_with_roles,
+                                   family_o_with_roles], ids=["P", "Q", "O"])
+def test_cycle_edges_follow_the_triangle_orientation(k, build):
+    # the cycle is v1-e1-v2-e2-v3-e3-v1, as CycleRoles states
+    for m in (5, 6, 9):
+        h, roles = build(k, m)
+        assert {roles.v1, roles.v2} <= set(h.edges[roles.e1])
+        assert {roles.v2, roles.v3} <= set(h.edges[roles.e2])
+        assert {roles.v3, roles.v1} <= set(h.edges[roles.e3])

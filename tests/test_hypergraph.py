@@ -325,6 +325,22 @@ def test_json_nested_too_deep_is_malformed():
         hypergraph_from_json(text)
 
 
+def test_json_missing_key_is_named():
+    with pytest.raises(ValueError, match=re.escape("malformed hypergraph JSON: missing key 'n'")):
+        hypergraph_from_json('{"k": 3, "edges": [[0, 1, 2]]}')
+
+
+def test_text_reader_shortens_a_long_token():
+    token = "[" * 100000 + "]" * 100000
+    with pytest.raises(ValueError) as exc:
+        hypergraph_from_text(f"3 1\n0 1 {token}\n")
+    assert str(exc.value) == f"{token[:20]!r}… (200000 characters) is not a decimal integer"
+    # the longest token still shown whole, and the shortest one cut
+    for bad, shown in (("x" * 20, repr("x" * 20)), ("x" * 21, f"{'x' * 20!r}… (21 characters)")):
+        with pytest.raises(ValueError, match=re.escape(f"{shown} is not a decimal integer")):
+            hypergraph_from_text(f"3 1\n0 1 {bad}\n")
+
+
 def test_json_accepts_unsorted_edges_and_keeps_ids():
     h = hypergraph_from_json('{"k": 3, "n": 5, "edges": [[4, 3, 2], [2, 0, 1]]}')
     assert h.edges == ((0, 1, 2), (2, 3, 4))
