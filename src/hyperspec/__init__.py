@@ -64,6 +64,7 @@ from .alpha_normal import (
     rho_from_alpha,
     solve_alpha_O,
     solve_alpha_P,
+    spectral_radius_alpha,
     weights_to_text,
 )
 from .transforms import EdgeMove, MoveResult, move_edges, relocate, yss_move

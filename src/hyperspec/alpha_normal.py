@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .families import family_o_with_roles, family_p_with_roles, family_q_with_roles
+from .families import FamilySpec, family_o_with_roles, family_p_with_roles, family_q_with_roles
 from .hypergraph import Hypergraph, structural_profile, unique_cycle
-from .spectral import ConvergenceError
+from .spectral import ConvergenceError, SpectralResult
 
 __all__ = [
     "WeightedIncidence",
@@ -37,6 +37,7 @@ __all__ = [
     "phi",
     "psi",
     "rho_from_alpha",
+    "spectral_radius_alpha",
     "build_B_P",
     "build_B_O",
     "build_B_Q_supernormal",
@@ -121,11 +122,12 @@ def cycle_consistency(w: WeightedIncidence) -> float:
     return out
 
 
-def check_normal(w: WeightedIncidence, alpha: float, tol: float = DEFAULT_CHECK_TOL) -> NormalityReport:
-    """Classify a weighted incidence matrix against the target alpha."""
+def check_normal(w: WeightedIncidence, alpha: float) -> NormalityReport:
+    """Classify a weighted incidence matrix against alpha, to DEFAULT_CHECK_TOL."""
     if not w.hypergraph.is_connected:
         raise ValueError("normality check needs a connected hypergraph")
     h = w.hypergraph
+    tol = DEFAULT_CHECK_TOL
     rows = tuple(w.row_sum(v) for v in range(h.n))
     prods = tuple(w.edge_product(j) for j in range(h.m))
     profile = structural_profile(h)
@@ -249,6 +251,18 @@ def rho_from_alpha(alpha: float, k: int) -> float:
     return alpha ** (-1.0 / k)
 
 
+def spectral_radius_alpha(tag: str, k: int, m: int) -> SpectralResult:
+    """rho of P_m or O_m from its exact labeling: alpha^(-1/k) at the root
+    of f(alpha, m - 4) = 1, with |f(alpha, m - 4) - 1| as the residual."""
+    if tag not in ("P", "O"):
+        raise ValueError(f"the alpha route covers P and O, not {tag!r}")
+    FamilySpec(tag, k, m)
+    solve, f = (solve_alpha_P, f_P) if tag == "P" else (solve_alpha_O, f_O)
+    alpha = solve(m - 4)
+    return SpectralResult(rho=rho_from_alpha(alpha, k), perron=None,
+                          residual=abs(f(alpha, m - 4) - 1.0), iterations=0, method="alpha-normal")
+
+
 # --- closed-form constructions ------------------------------------------------
 
 def _base_weights(h: Hypergraph, roles, alpha: float) -> dict[tuple[int, int], float]:
@@ -287,11 +301,10 @@ def _build_exact(h: Hypergraph, roles, alpha: float) -> WeightedIncidence:
 
 def build_B_P(m: int, k: int, alpha: float) -> WeightedIncidence:
     """The exact P-family labeling; alpha-normal iff f_P(alpha, m-4) = 1."""
-    if m < 5:
-        raise ValueError("P needs m >= 5")
+    h, roles = family_p_with_roles(k, m)
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha={alpha} outside (0, 1/2)")
-    return _build_exact(*family_p_with_roles(k, m), alpha)
+    return _build_exact(h, roles, alpha)
 
 
 def build_B_O(m: int, k: int, alpha: float) -> WeightedIncidence:
@@ -300,12 +313,11 @@ def build_B_O(m: int, k: int, alpha: float) -> WeightedIncidence:
     m = 4 is allowed (a single pendant edge at the cored cycle vertex) and
     is used as a numerical cross-check only.
     """
-    if m < 4:
-        raise ValueError("O needs m >= 4")
+    h, roles = family_o_with_roles(k, m)
     r = m - 4
     if not 0.0 < alpha < 1.0 / (r + 2):
         raise ValueError(f"alpha={alpha} outside (0, 1/(r+2)) for r={r}")
-    return _build_exact(*family_o_with_roles(k, m), alpha)
+    return _build_exact(h, roles, alpha)
 
 
 def build_B_Q_supernormal(m: int, k: int, alpha: float) -> WeightedIncidence:
@@ -316,11 +328,9 @@ def build_B_Q_supernormal(m: int, k: int, alpha: float) -> WeightedIncidence:
     alpha except the max-degree row, which sums to
     alpha/(1-beta) + alpha/((1-alpha)*gamma) + r*alpha > 1.
     """
-    if m < 5:
-        raise ValueError("Q needs m >= 5")
+    h, roles = family_q_with_roles(k, m)
     if not 0.0 < alpha <= 0.2 + 1e-12:
         raise ValueError(f"alpha={alpha} outside (0, 1/5]")
-    h, roles = family_q_with_roles(k, m)
     g = gamma(alpha)
     beta = alpha / (1.0 - g)
     if beta >= 1.0:

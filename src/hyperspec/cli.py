@@ -25,9 +25,9 @@ from .alpha_normal import (
     gamma,
     phi,
     psi,
-    rho_from_alpha,
     solve_alpha_O,
     solve_alpha_P,
+    spectral_radius_alpha,
     weights_to_text,
 )
 from .canonical import canonical_form, canonical_id
@@ -52,8 +52,8 @@ from .hypergraph import (
 from .spectral import (
     ConvergenceError,
     IterationOptions,
-    SpectralResult,
     spectral_radii_tensor,
+    spectral_radius_power_formula,
     spectral_radius_tensor,
 )
 from .transforms import EdgeMove, move_edges, relocate, yss_move
@@ -177,9 +177,9 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _match_alpha_family(h) -> tuple[str, float] | None:
-    """Recognize the input as a P- or O-family member and return its exact
-    alpha, or None.  Both families are unicyclic with girth 3 and exactly
+def _match_alpha_family(h) -> str | None:
+    """Recognize the input as a P- or O-family member and return its tag, or
+    None.  Both families are unicyclic with girth 3 and exactly
     m - 3 pendent edges (checked for k = 3..8, m <= 16), so any other
     profile (girth None: not unicyclic) is refused before P, O or a
     canonical form is built."""
@@ -190,11 +190,11 @@ def _match_alpha_family(h) -> tuple[str, float] | None:
     if h.m >= 5:
         p = family(FamilySpec(tag="P", k=h.k, m=h.m))
         if canonical_form(p) == key:
-            return "P", solve_alpha_P(h.m - 4)
+            return "P"
     if h.m >= 4:
         o = family(FamilySpec(tag="O", k=h.k, m=h.m))
         if canonical_form(o) == key:
-            return "O", solve_alpha_O(h.m - 4)
+            return "O"
     return None
 
 
@@ -204,32 +204,15 @@ def _cmd_rho(args) -> int:
     if args.method == "tensor":
         res = spectral_radius_tensor(h, opts)
     elif args.method == "alpha":
-        match = _match_alpha_family(h)
-        if match is None:
-            raise ValueError(
-                "--method alpha applies only to the P and O family shapes"
-            )
-        tag, alpha = match
-        fn = f_P if tag == "P" else f_O
-        res = SpectralResult(
-            rho=rho_from_alpha(alpha, h.k),
-            perron=None,
-            residual=abs(fn(alpha, h.m - 4) - 1.0),
-            iterations=0,
-            method="alpha-normal",
-        )
+        tag = _match_alpha_family(h)
+        if tag is None:
+            raise ValueError("--method alpha applies only to the P and O family shapes")
+        res = spectral_radius_alpha(tag, h.k, h.m)
     else:  # power-formula
         base = power_base(h)
         if base is None:
             raise ValueError("input is not the power of a simple graph")
-        gres = spectral_radius_tensor(base, opts)
-        res = SpectralResult(
-            rho=gres.rho ** (2.0 / h.k),
-            perron=None,
-            residual=gres.residual,
-            iterations=gres.iterations,
-            method="power-formula",
-        )
+        res = spectral_radius_power_formula(base, h.k, opts)
     _emit(_render_json(res.to_json_dict(include_perron=args.perron)) + "\n", args.output)
     return 0
 
@@ -248,7 +231,7 @@ def _cmd_alpha(args) -> int:
     if args.action == "solve":
         sys.stdout.write(_fmt(_SOLVERS[args.family](args.r, args.tol)) + "\n")
         return 0
-    # emit
+    FamilySpec(args.family, args.k, args.m)  # emit; checks m before alpha is solved from m - 4
     alpha = args.alpha if args.alpha is not None else _SOLVERS[args.family](args.m - 4)
     w = _BUILDERS[args.family](args.m, args.k, alpha)
     report = check_normal(w, alpha)

@@ -41,11 +41,11 @@ from functools import cache
 from itertools import product
 from math import gcd
 
-from .alpha_normal import rho_from_alpha, solve_alpha_O, solve_alpha_P
+from .alpha_normal import spectral_radius_alpha
 from .canonical import BeadReader, canonical_form, canonical_id
 from .families import _POWER_TAGS, FamilySpec, family, simple_family_graph
 from .hypergraph import Hypergraph
-from .spectral import IterationOptions, SpectralResult, spectral_radii_tensor
+from .spectral import IterationOptions, SpectralResult, _power_result, spectral_radii_tensor
 
 __all__ = [
     "CapExceededError",
@@ -447,25 +447,20 @@ def verify_suite(
     table = [(claim, desc, [(m, rows(m) if m >= dom else None) for m in range(m_lo, m_hi + 1)])
              for claim, desc, dom, rows in claims]
 
-    def alpha(tag: str, m: int) -> float:
-        return rho_from_alpha((solve_alpha_P if tag == "P" else solve_alpha_O)(m - 4), k)
-
     # one batched solve: the family members, then the power families' base graphs
     solved = spectral_radii_tensor(list(graphs.values()), opts)
     rho = {key: res.rho for key, res in zip(graphs, solved)}
     powers = [key for key in graphs if key[0] in _POWER_TAGS]
     bases = spectral_radii_tensor([simple_family_graph(*key) for key in powers], opts)
-    cross = {key: ("power-formula", res.rho ** (2.0 / k)) for key, res in zip(powers, bases)}
-    cross.update(
-        (key, ("alpha-normal", alpha(*key[:2]))) for key in graphs if key[0] in ("P", "O")
-    )
+    cross = {key: _power_result(res, k) for key, res in zip(powers, bases)}
+    cross |= {(t, m, g): spectral_radius_alpha(t, k, m) for t, m, g in graphs if t in ("P", "O")}
 
     def label(key: tuple) -> str:
         tag, m, g = key
         return f"{tag}(m={m})" if g is None else f"{tag}(m={m},g={g})"
 
     def check(m: int, detail: str, lhs_key: tuple, rhs_key: tuple) -> InstanceCheck:
-        lhs = alpha("P", m) if lhs_key[0] == "alpha-bound" else rho[lhs_key]
+        lhs = spectral_radius_alpha("P", k, m).rho if lhs_key[0] == "alpha-bound" else rho[lhs_key]
         rhs = rho[rhs_key]
         gap = rhs - lhs
         return InstanceCheck(k, m, detail, label(lhs_key), label(rhs_key), lhs, rhs, gap, tol,
@@ -482,8 +477,8 @@ def verify_suite(
 
     instances = []
     for key in sorted(cross, key=repr):  # k is fixed, so this is the order of (tag, k, m, g)
-        kind, value = cross[key]
-        diff = abs(rho[key] - value)
+        kind = cross[key].method
+        diff = abs(rho[key] - cross[key].rho)
         instances.append(InstanceCheck(
             k, key[1], kind, f"|tensor-{kind}| {label(key)}", f"{CROSS_METHOD_TOL}", diff,
             CROSS_METHOD_TOL, CROSS_METHOD_TOL - diff, tol,

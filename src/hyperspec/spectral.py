@@ -247,11 +247,17 @@ def spectral_radius_power_formula(
     g: Hypergraph,
     k: int,
     opts: IterationOptions | None = None,
-) -> float:
+) -> SpectralResult:
     """Spectral radius of the k-th power of the simple graph g (k = 2):
-    rho(g) raised to 2/k."""
+    rho(g) raised to 2/k, with the residual and iterations of g's solve."""
     if k < 3:
         raise ValueError("power shortcut needs k >= 3")
     if g.k != 2:
         raise ValueError("power shortcut needs a simple graph (k = 2)")
-    return spectral_radius_tensor(g, opts).rho ** (2.0 / k)
+    return _power_result(spectral_radius_tensor(g, opts), k)
+
+
+def _power_result(base: SpectralResult, k: int) -> SpectralResult:
+    """The power-formula record of a k-th power from its base graph's result."""
+    return SpectralResult(rho=base.rho ** (2.0 / k), perron=None, residual=base.residual,
+                          iterations=base.iterations, method="power-formula")

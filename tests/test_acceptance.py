@@ -100,7 +100,7 @@ def test_criterion_4_cross_method_agreement():
             for tag, g in (("S", 3), ("S", 4), ("T1", None), ("T2", None),
                            ("U1", None)):
                 shortcut = spectral_radius_power_formula(
-                    simple_family_graph(tag, m, g), k, opts)
+                    simple_family_graph(tag, m, g), k, opts).rho
                 iterated = spectral_radius_tensor(
                     family(FamilySpec(tag=tag, k=k, m=m, g=g)), opts).rho
                 assert abs(shortcut - iterated) <= 1e-8, (k, m, tag, g)

@@ -20,6 +20,7 @@ from hyperspec import (
     rho_from_alpha,
     solve_alpha_O,
     solve_alpha_P,
+    spectral_radius_alpha,
     spectral_radius_tensor,
     weights_to_text,
 )
@@ -242,6 +243,36 @@ def test_build_domain_errors():
         build_B_O(5, 3, 0.4)  # needs alpha < 1/3 at r=1
     with pytest.raises(ValueError):
         build_B_Q_supernormal(5, 3, 0.3)
+
+
+@pytest.mark.parametrize("build,m,message", [
+    (build_B_P, 4, "P needs m >= 5"),
+    (build_B_O, 2, "O needs m >= 4"),  # its alpha bound would divide by m - 2 = 0
+    (build_B_Q_supernormal, 4, "Q needs m >= 5"),
+])
+def test_build_checks_m_as_the_family_does(build, m, message):
+    with pytest.raises(ValueError, match=message):
+        build(m, 3, 0.2)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("tag,solver,f", [("P", solve_alpha_P, f_P), ("O", solve_alpha_O, f_O)])
+def test_spectral_radius_alpha_record(k, tag, solver, f):
+    for m in (5, 7, 9):
+        alpha = solver(m - 4)
+        res = spectral_radius_alpha(tag, k, m)
+        assert res.rho == rho_from_alpha(alpha, k)
+        assert res.residual == abs(f(alpha, m - 4) - 1.0)
+        assert (res.perron, res.iterations, res.method) == (None, 0, "alpha-normal")
+
+
+def test_spectral_radius_alpha_domain():
+    with pytest.raises(ValueError, match="covers P and O, not 'Q'"):
+        spectral_radius_alpha("Q", 3, 6)
+    with pytest.raises(ValueError, match="P needs m >= 5"):
+        spectral_radius_alpha("P", 3, 4)
+    with pytest.raises(ValueError, match="k >= 3"):
+        spectral_radius_alpha("O", 2, 6)
 
 
 def test_weighted_incidence_validation():

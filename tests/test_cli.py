@@ -43,6 +43,37 @@ def test_rho_power_formula_method(tmp_path, capsys):
     assert abs(json.loads(via_pf)["rho"] - json.loads(via_tensor)["rho"]) <= 1e-8
 
 
+# the full records of the second routes at k = 3, recorded before both routes
+# moved into the library
+SECOND_ROUTE_RECORDS = [
+    (("--family", "P", "--m", "5"), "alpha",
+     {"rho": 1.7099759466766971, "residual": 1.1102230246251565e-16, "iterations": 0,
+      "method": "alpha-normal"}),
+    (("--family", "O", "--m", "6"), "alpha",
+     {"rho": 1.7630122045023235, "residual": 2.2204460492503131e-16, "iterations": 0,
+      "method": "alpha-normal"}),
+    (("--family", "S", "--m", "7", "--g", "4"), "power-formula",
+     {"rho": 1.8171205928321394, "residual": 4.4142467459096224e-13, "iterations": 34,
+      "method": "power-formula"}),
+    (("--family", "T1", "--m", "6"), "power-formula",
+     {"rho": 1.8152889326499642, "residual": 1.7541523789077473e-13, "iterations": 41,
+      "method": "power-formula"}),
+]
+
+
+@pytest.mark.parametrize("spec,method,expected", SECOND_ROUTE_RECORDS,
+                         ids=["alpha-P5", "alpha-O6", "power-S7g4", "power-T1m6"])
+def test_rho_second_route_records(tmp_path, capsys, spec, method, expected):
+    path = build(capsys, tmp_path / "g.json", *spec)
+    code, stdout, _ = invoke(capsys, "rho", path, "--method", method)
+    assert code == 0
+    got = json.loads(stdout)
+    assert list(got) == ["rho", "residual", "iterations", "method"]
+    assert (got["method"], got["iterations"]) == (expected["method"], expected["iterations"])
+    for key in ("rho", "residual"):
+        assert got[key] == pytest.approx(expected[key], rel=1e-12), key
+
+
 def test_rho_alpha_rejects_other_shapes(tmp_path, capsys):
     out = tmp_path / "t1.json"
     invoke(capsys, "build", "--family", "T1", "--k", "3", "--m", "5", "-o", str(out))
@@ -95,6 +126,13 @@ BAD_FILES = {
     # the decoder raises RecursionError on arrays nested this deep
     "json_deep": '{"k": 3, "n": 3, "edges": ' + "[" * 100000 + "]" * 100000 + "}",
     "json_missing_key": '{"k": 3, "edges": [[0, 1, 2]]}',
+    "text_empty": "",
+    "text_no_m": "3",
+    "text_short": "3 2\n0 1 2",
+    "text_k1": "1 1\n0",
+    # well-formed, but refused by the commands that read them below
+    "two_edges": "3 2\n0 1 2\n2 3 4",
+    "simple_edge": "2 1\n0 1",
 }
 
 
@@ -135,6 +173,24 @@ BAD_FILES = {
         (("rank", "--k", "\uff13", "--m", "5"), 2, "'\uff13' is not a decimal integer"),
         (("verify", "--k", "3", "--m", "5..+6"), 2, "'+6' is not a decimal integer"),
         (("transform", "move", "{q6}", "--move", "0,1, 2"), 2, "' 2' is not a decimal integer"),
+        (("profile", "{text_empty}"), 2, "empty hypergraph file"),
+        (("profile", "{text_no_m}"), 2, "first line must be 'k m'"),
+        (("profile", "{text_short}"), 2, "expected 2 edge lines, found 1"),
+        (("profile", "{text_k1}"), 2, "uniformity k must be >= 2"),
+        (("transform", "move", "{q6}", "--move", "1,2"), 2, "--move wants EDGE,SRC,DST"),
+        (("transform", "move", "{q6}", "--move", "0,0,99"), 2, "target vertex 99 out of range"),
+        (("transform", "move", "{q6}", "--move", "99,0,1"), 2, "edge index 99 out of range"),
+        (("transform", "yss", "{two_edges}", "--e", "0", "--f", "7"), 2,
+         "edge index 7 out of range"),
+        (("transform", "relocate", "{two_edges}", "{simple_edge}", "--v1", "0", "--v2", "1",
+          "--u", "0"), 2, "uniformity mismatch"),
+        # checked before alpha is solved from m - 4, which would name a pendant count r
+        (("alpha", "emit", "--family", "O", "--m", "2", "--k", "3"), 2, "O needs m >= 4"),
+        (("alpha", "emit", "--family", "Q", "--m", "3", "--k", "3"), 2, "Q needs m >= 5"),
+        (("alpha", "emit", "--family", "P", "--m", "6", "--k", "3", "--alpha", "0.7"), 2,
+         "alpha=0.7 outside (0, 1/2)"),
+        # a simple graph is its own second power: the formula would only relabel rho
+        (("rho", "{simple_edge}", "--method", "power-formula"), 2, "power shortcut needs k >= 3"),
     ],
     ids=["enumerate-cap", "json-edges-not-a-list", "json-k-float", "json-id-float",
          "json-id-out-of-range", "json-n-string", "json-id-bool", "json-id-negative",
@@ -145,7 +201,10 @@ BAD_FILES = {
          "alpha-solve-tol-zero", "alpha-solve-tol-negative", "alpha-solve-tol-nan",
          "alpha-solve-tol-inf", "verify-k-2-no-member", "verify-k-negative",
          "flag-underscore", "flag-full-width-digit", "verify-range-plus-sign",
-         "move-space"],
+         "move-space", "text-empty", "text-no-m", "text-short", "text-k-1",
+         "move-two-fields", "move-target-out-of-range", "move-edge-out-of-range",
+         "yss-edge-out-of-range", "relocate-k-mismatch", "alpha-emit-o-m-2",
+         "alpha-emit-q-m-3", "alpha-emit-alpha-outside", "power-formula-k-2"],
 )
 def test_error_exit_codes(tmp_path, capsys, argv, expected, message):
     paths = {}
@@ -369,6 +428,14 @@ def test_alpha_emit_exact_families_are_normal(capsys, fam):
     code, stdout, _ = invoke(capsys, "alpha", "emit", "--family", fam, "--m", "6", "--k", "3")
     assert code == 0
     assert json.loads(stdout.strip().splitlines()[-1])["mode"] == "normal"
+
+
+def test_alpha_emit_alpha_override(capsys):
+    code, stdout, _ = invoke(capsys, "alpha", "emit", "--family", "P", "--m", "6", "--k", "3",
+                             "--alpha", "0.1")
+    assert code == 0
+    report = json.loads(stdout.strip().splitlines()[-1])
+    assert (report["mode"], report["alpha"], report["tolerance"]) == ("neither", 0.1, 1e-10)
 
 
 @pytest.mark.parametrize("fn", ["f_P", "f_O"])

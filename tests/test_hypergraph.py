@@ -48,6 +48,11 @@ def test_wrong_edge_size_rejected():
         make_hypergraph(3, [(0, 1, 1)])
 
 
+def test_unsorted_edge_rejected():
+    with pytest.raises(ValueError, match=re.escape("edge (0, 2, 1) is not sorted")):
+        Hypergraph(k=3, n=3, edges=((0, 2, 1),))
+
+
 def test_empty_edge_list_rejected():
     with pytest.raises(ValueError, match="empty"):
         make_hypergraph(3, [])

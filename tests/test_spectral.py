@@ -83,6 +83,12 @@ def test_apply_dimension_mismatch():
         apply_adjacency(h, np.ones(4))
 
 
+def test_apply_rejects_nan_entry():
+    h = make_hypergraph(3, [{0, 1, 2}])
+    with pytest.raises(ValueError, match="finite"):
+        apply_adjacency(h, [1.0, float("nan"), 1.0])
+
+
 def test_rayleigh_values():
     single = make_hypergraph(3, [{0, 1, 2}])
     assert rayleigh(single, np.ones(3)) == pytest.approx(3.0)
@@ -165,17 +171,24 @@ def test_graph_rho_paw_against_determinant_bisection():
 
 
 def test_power_formula_values():
-    assert spectral_radius_power_formula(simple_cycle(3), 3) == pytest.approx(
+    assert spectral_radius_power_formula(simple_cycle(3), 3).rho == pytest.approx(
         2.0 ** (2.0 / 3.0), abs=1e-12)
-    assert spectral_radius_power_formula(simple_star(2), 3) == pytest.approx(
+    assert spectral_radius_power_formula(simple_star(2), 3).rho == pytest.approx(
         2.0 ** (1.0 / 3.0), abs=1e-12)
     with pytest.raises(ValueError, match="k >= 3"):
         spectral_radius_power_formula(simple_cycle(3), 2)
 
 
+def test_power_formula_record():
+    base = spectral_radius_tensor(simple_s(7, 4))
+    assert spectral_radius_power_formula(simple_s(7, 4), 3) == SpectralResult(
+        rho=base.rho ** (2.0 / 3), perron=None, residual=base.residual,
+        iterations=base.iterations, method="power-formula")
+
+
 def test_two_pendants_lose_to_extended_leaf_at_m8():
-    lhs = spectral_radius_power_formula(simple_t2(8), 3)
-    rhs = spectral_radius_power_formula(simple_u1(8), 3)
+    lhs = spectral_radius_power_formula(simple_t2(8), 3).rho
+    rhs = spectral_radius_power_formula(simple_u1(8), 3).rho
     assert lhs < rhs
 
 
@@ -187,7 +200,7 @@ def test_two_pendants_lose_to_extended_leaf_at_m8():
 def test_tensor_agrees_with_power_formula(k, tag, m, g):
     h = family(FamilySpec(tag=tag, k=k, m=m, g=g))
     via_tensor = spectral_radius_tensor(h).rho
-    via_formula = spectral_radius_power_formula(simple_family_graph(tag, m, g), k)
+    via_formula = spectral_radius_power_formula(simple_family_graph(tag, m, g), k).rho
     assert abs(via_tensor - via_formula) <= 1e-8
 
 
@@ -213,7 +226,7 @@ def test_power_formula_matches_dense_eigvalsh(k):
         for u, v in graph.edges:
             a[u, v] = a[v, u] = 1.0
         oracle = np.linalg.eigvalsh(a)[-1] ** (2.0 / k)
-        via_formula = spectral_radius_power_formula(graph, k)
+        via_formula = spectral_radius_power_formula(graph, k).rho
         assert abs(via_formula - oracle) <= 1e-11, (tag, m, g)
         if tag == "Hyperstar":
             assert abs(via_formula - m ** (1.0 / k)) <= 1e-11, m
