@@ -62,8 +62,7 @@ from .alpha_normal import (
     phi,
     psi,
     rho_from_alpha,
-    solve_alpha_O,
-    solve_alpha_P,
+    solve_alpha,
     spectral_radius_alpha,
     weights_to_text,
 )

@@ -9,10 +9,10 @@ incident vertex-edge pair.  For a connected k-uniform hypergraph:
 * if row sums are >= 1 and edge products <= alpha, consistently and with
   some strict slack, the spectral radius strictly exceeds alpha^(-1/k).
 
-This module provides the verifier plus the closed-form constructions for
-the three triangle-based families: an exact labeling for P_m and O_m (the
-root of a scalar equation in alpha), and a strictly slack labeling for Q_m
-at P_m's alpha that certifies rho(Q_m) > rho(P_m).
+solve_alpha bisects for the exact alpha of any connected linear unicyclic
+hypergraph, and spectral_radius_alpha turns it into rho.  Here too: the
+verifier, the exact labelings of P_m and O_m (normal where f_P or f_O is
+1), and a slack labeling of Q_m certifying rho(Q_m) > rho(P_m).
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .families import FamilySpec, family_o_with_roles, family_p_with_roles, family_q_with_roles
+from .canonical import read_beads
+from .families import family_o_with_roles, family_p_with_roles, family_q_with_roles
 from .hypergraph import Hypergraph, structural_profile, unique_cycle
-from .spectral import ConvergenceError, SpectralResult
+from .spectral import SpectralResult
 
 __all__ = [
     "WeightedIncidence",
@@ -31,8 +32,7 @@ __all__ = [
     "cycle_consistency",
     "f_P",
     "f_O",
-    "solve_alpha_P",
-    "solve_alpha_O",
+    "solve_alpha",
     "gamma",
     "phi",
     "psi",
@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 DEFAULT_CHECK_TOL = 1e-10
-DEFAULT_SOLVE_TOL = 1e-13
 
 # strictness margin: slack below 10x the check tolerance is not certified
 _STRICT_FACTOR = 10.0
@@ -184,41 +183,6 @@ def f_O(alpha: float, r: int) -> float:
     return 2.0 * alpha / (1.0 - beta)
 
 
-def _bisect_to_one(fn, lo: float, hi: float, tol: float) -> float:
-    """Root of fn(x) = 1 for fn strictly increasing with fn(lo) < 1 < fn(hi)."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    while hi - lo > 1e-16:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if fn(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    if abs(fn(root) - 1.0) > tol:
-        raise ConvergenceError(f"bisection landed at |f-1|={abs(fn(root)-1.0):.3e} > {tol}")
-    return root
-
-
-def solve_alpha_P(r: int, tol: float = DEFAULT_SOLVE_TOL) -> float:
-    """Unique alpha in (0, 1/2) with f_P(alpha, r) = 1."""
-    if r < 0:
-        raise ValueError("pendant count r must be >= 0")
-    eps = 1e-15
-    return _bisect_to_one(lambda a: f_P(a, r), eps, 0.5 - eps, tol)
-
-
-def solve_alpha_O(r: int, tol: float = DEFAULT_SOLVE_TOL) -> float:
-    """Unique alpha in (0, 1/(r+2)) with f_O(alpha, r) = 1."""
-    if r < 0:
-        raise ValueError("pendant count r must be >= 0")
-    eps = 1e-15
-    hi = 1.0 / (r + 2)
-    return _bisect_to_one(lambda a: f_O(a, r), eps, hi - eps * hi, tol)
-
-
 def gamma(alpha: float) -> float:
     """(1-alpha)/(1 + sqrt(alpha*(1-alpha))): the unique cycle weight that
     makes the slack Q-family labeling consistent."""
@@ -251,16 +215,71 @@ def rho_from_alpha(alpha: float, k: int) -> float:
     return alpha ** (-1.0 / k)
 
 
-def spectral_radius_alpha(tag: str, k: int, m: int) -> SpectralResult:
-    """rho of P_m or O_m from its exact labeling: alpha^(-1/k) at the root
-    of f(alpha, m - 4) = 1, with |f(alpha, m - 4) - 1| as the residual."""
-    if tag not in ("P", "O"):
-        raise ValueError(f"the alpha route covers P and O, not {tag!r}")
-    FamilySpec(tag, k, m)
-    solve, f = (solve_alpha_P, f_P) if tag == "P" else (solve_alpha_O, f_O)
-    alpha = solve(m - 4)
-    return SpectralResult(rho=rho_from_alpha(alpha, k), perron=None,
-                          residual=abs(f(alpha, m - 4) - 1.0), iterations=0, method="alpha-normal")
+def solve_alpha(h: Hypergraph) -> tuple[float, float]:
+    """(lo, hi) around the alpha of h's exact labeling: lo is feasible, hi
+    is not, and no float lies between them; rho(h) = alpha^(-1/k) (Lu & Man
+    2016).  Raises ValueError unless h is connected linear unicyclic.
+
+    On read_beads' lists, leaves first, D(tree) sums alpha / prod(1 - D)
+    over the root's branches, the product over the subtrees on a branch's
+    other vertices: every tree row then sums to 1 and every tree edge
+    multiplies to alpha.  Cycle vertex i keeps d_i = 1 - D(its tree), and
+    cycle edge i needs end weights multiplying to c_i = alpha / prod(1 - D)
+    over its side trees.  Unit rows force x_{i+1} = d_{i+1} - c_i / x_i on
+    x_i, vertex i's weight on edge i: the step of A_i = [[d_{i+1}, -c_i],
+    [1, 0]].  An orbit closes at a fixed point x_0 of F, the step of
+    M = A_{g-1}...A_0, with eigenvector (x_0, 1) and eigenvalue prod x_i,
+    and is consistent when prod x_i^2 = prod c_i = det M.
+
+    alpha is feasible when every 1 - D > 0, tr M > 0, tr(M)^2 > 4 det M and
+    both fixed points of F have positive orbits.  Starts between them do
+    too, end at F(x_0) > x_0 and carry prod x_i across sqrt(det M): one is
+    consistent, strictly subnormal (vertex 0's row is 1 - F(x_0) + x_0),
+    so rho < alpha^(-1/k).  D grows with alpha, so F falls pointwise and
+    smaller alphas stay feasible; the fixed points merge at the exact alpha.
+    """
+    if structural_profile(h).classification != "unicyclic":
+        raise ValueError("the alpha route needs a connected linear unicyclic hypergraph")
+    trees, branches, beads, _ = read_beads(h)
+    lo, hi = 0.0, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if _feasible(mid, trees, branches, beads) else (lo, mid)
+    return lo, hi
+
+
+def _feasible(alpha: float, trees: list, branches: list, beads: list) -> bool:
+    """solve_alpha's test at one alpha, in floats."""
+    slack = [1.0] * len(trees)  # 1 - D(tree t), subtrees first
+    for t, parts in enumerate(trees):
+        for b in parts:
+            slack[t] -= alpha / math.prod([slack[c] for c in branches[b]])
+        if not slack[t] > 0:
+            return False
+    d = [slack[v] for v, _ in beads[1:] + beads[:1]]  # d_{i+1}
+    c = [alpha / math.prod([slack[t] for t in side]) for _, side in beads]
+    a, b, p, q = 1.0, 0.0, 0.0, 1.0  # M = [[a, b], [p, q]]
+    for di, ci in zip(d, c):
+        a, b, p, q = di * a - ci * p, di * b - ci * q, a, b
+    tr, det = a + q, math.prod(c)
+    disc = tr * tr - 4.0 * det
+    if not (tr > 0 and disc > 0 and p > 0):
+        return False
+    for lam in (0.5 * (tr + math.sqrt(disc)), 0.5 * (tr - math.sqrt(disc))):
+        x = (lam - q) / p  # the fixed point with eigenvalue lam
+        for di, ci in zip(d, c):
+            if not x > 0:
+                return False
+            x = di - ci / x
+    return True
+
+
+def spectral_radius_alpha(h: Hypergraph) -> SpectralResult:
+    """rho = lo^(-1/k) from solve_alpha's bracket, and the bracket's width
+    on rho, lo^(-1/k) - hi^(-1/k), as the residual."""
+    lo, hi = solve_alpha(h)
+    rho = rho_from_alpha(lo, h.k)
+    return SpectralResult(rho=rho, perron=None, residual=rho - rho_from_alpha(hi, h.k),
+                          iterations=0, method="alpha-normal")
 
 
 # --- closed-form constructions ------------------------------------------------

@@ -13,7 +13,8 @@ sorted child codes.  The cycle is read in its least order over all
 rotations and both directions (Booth's algorithm), and the vertices are
 numbered depth-first from the core, children in code order.  Two readers
 feed it: the enumerator numbers its trees, branches and beads itself, and
-canonicalize() takes them from the peel in `hypergraph.py`, leaves first.
+canonicalize() takes them from read_beads(), which reads the peel in
+`hypergraph.py`, leaves first; the alpha route reads the same lists.
 
 Children with equal codes carry isomorphic subtrees and rotations with
 equal code sequences are automorphisms, so every tie-break yields the same
@@ -36,14 +37,22 @@ def canonicalize(h: Hypergraph) -> Hypergraph:
     ValueError unless h is connected with at most one cycle in its
     incidence graph.
     """
+    trees, branches, beads, center = read_beads(h)
+    reader = BeadReader(h.k, trees, branches, beads)
+    return reader.build(tuple(range(len(beads)))) if beads else reader._hypertree(center)
+
+
+def read_beads(h: Hypergraph) -> tuple[list, list, list, list]:
+    """BeadReader's (trees, branches, beads, center) for h, from the peel,
+    leaves first.  A hypertree has no beads, and its center is the tree at
+    its center vertex or the k on its center edge; a cycle has no center."""
     n, m = h.n, h.m
     if not h.is_connected:
         raise ValueError("canonical code needs a connected hypergraph")
     cycles = m * h.k - (n + m) + 1
     if cycles > 1:
-        raise ValueError(
-            f"canonical code needs at most one cycle in the incidence graph, found {cycles}"
-        )
+        raise ValueError("canonical code needs at most one cycle in the incidence graph, "
+                         f"found {cycles}")
     layers, walk = h._peel
     adj = [[n + j for j in inc] for inc in h.incidence] + [list(e) for e in h.edges]
     # node x is read as trees[ids[x]] (a vertex) or branches[ids[x]] (an edge),
@@ -65,12 +74,12 @@ def canonicalize(h: Hypergraph) -> Hypergraph:
         if walk[0] < n:
             trees.append(center)
             center = [len(trees) - 1]
-        return BeadReader(h.k, trees, branches, [])._hypertree(center)
+        return trees, branches, [], center
     # the walk starts at a cycle vertex, so it alternates vertex, edge
     first = len(trees)
     trees += [kids(v) for v in walk[::2]]
     beads = [(first + i, kids(e)) for i, e in enumerate(walk[1::2])]
-    return BeadReader(h.k, trees, branches, beads).build(tuple(range(len(beads))))
+    return trees, branches, beads, []
 
 
 def _least_rotation(s: list) -> int:

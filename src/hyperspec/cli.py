@@ -25,12 +25,11 @@ from .alpha_normal import (
     gamma,
     phi,
     psi,
-    solve_alpha_O,
-    solve_alpha_P,
+    solve_alpha,
     spectral_radius_alpha,
     weights_to_text,
 )
-from .canonical import canonical_form, canonical_id
+from .canonical import canonical_id
 from .enumeration import (
     DEFAULT_CAP,
     CapExceededError,
@@ -59,8 +58,6 @@ from .spectral import (
 from .transforms import EdgeMove, move_edges, relocate, yss_move
 
 _SCALARS = {"f_P": f_P, "f_O": f_O, "gamma": gamma, "phi": phi, "psi": psi}
-# Q's supernormal labeling takes P's alpha
-_SOLVERS = {"P": solve_alpha_P, "O": solve_alpha_O, "Q": solve_alpha_P}
 _BUILDERS = {"P": build_B_P, "O": build_B_O, "Q": build_B_Q_supernormal}
 
 
@@ -177,37 +174,13 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _match_alpha_family(h) -> str | None:
-    """Recognize the input as a P- or O-family member and return its tag, or
-    None.  Both families are unicyclic with girth 3 and exactly
-    m - 3 pendent edges (checked for k = 3..8, m <= 16), so any other
-    profile (girth None: not unicyclic) is refused before P, O or a
-    canonical form is built."""
-    prof = structural_profile(h)
-    if prof.girth != 3 or len(prof.pendent_edges) != h.m - 3:
-        return None
-    key = canonical_form(h)
-    if h.m >= 5:
-        p = family(FamilySpec(tag="P", k=h.k, m=h.m))
-        if canonical_form(p) == key:
-            return "P"
-    if h.m >= 4:
-        o = family(FamilySpec(tag="O", k=h.k, m=h.m))
-        if canonical_form(o) == key:
-            return "O"
-    return None
-
-
 def _cmd_rho(args) -> int:
     h = load_hypergraph(args.input)
     opts = _iter_options(args)
     if args.method == "tensor":
         res = spectral_radius_tensor(h, opts)
     elif args.method == "alpha":
-        tag = _match_alpha_family(h)
-        if tag is None:
-            raise ValueError("--method alpha applies only to the P and O family shapes")
-        res = spectral_radius_alpha(tag, h.k, h.m)
+        res = spectral_radius_alpha(h)
     else:  # power-formula
         base = power_base(h)
         if base is None:
@@ -229,10 +202,12 @@ def _cmd_alpha(args) -> int:
         sys.stdout.write(_fmt(value) + "\n")
         return 0
     if args.action == "solve":
-        sys.stdout.write(_fmt(_SOLVERS[args.family](args.r, args.tol)) + "\n")
+        exact = family(FamilySpec(args.family, 3, args.r + 4))  # alpha is the same at every k
+        sys.stdout.write(_fmt(solve_alpha(exact)[0]) + "\n")
         return 0
-    FamilySpec(args.family, args.k, args.m)  # emit; checks m before alpha is solved from m - 4
-    alpha = args.alpha if args.alpha is not None else _SOLVERS[args.family](args.m - 4)
+    FamilySpec(args.family, args.k, args.m)  # emit; checks m before alpha is solved
+    exact = family(FamilySpec("O" if args.family == "O" else "P", args.k, args.m))  # Q uses P's
+    alpha = args.alpha if args.alpha is not None else solve_alpha(exact)[0]
     w = _BUILDERS[args.family](args.m, args.k, alpha)
     report = check_normal(w, alpha)
     _emit(weights_to_text(w), args.output)
@@ -373,10 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--alpha", type=float, required=True)
     pe.add_argument("--r", type=_integer, default=None)
     pe.set_defaults(handler=_cmd_alpha)
-    ps = asub.add_parser("solve", help="solve f = 1 for the family's alpha")
+    ps = asub.add_parser("solve", help="the exact alpha of the family at m = r + 4")
     ps.add_argument("--family", required=True, choices=["P", "O"])
     ps.add_argument("--r", type=_integer, required=True)
-    ps.add_argument("--tol", type=float, default=1e-13)
     ps.set_defaults(handler=_cmd_alpha)
     pm = asub.add_parser("emit", help="emit the family's weighted incidence matrix")
     pm.add_argument("--family", required=True, choices=["P", "O", "Q"])

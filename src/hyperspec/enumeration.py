@@ -372,7 +372,7 @@ def verify_suite(
     m, None) for the exact alpha value of P.  Every radius is then read
     from one batched solve: one tensor iteration over all family members
     read (members of one m share a shape), one over the power families'
-    base graphs, raised to 2/k, and the exact alpha labelings of P and O.
+    base graphs, raised to 2/k, and the alpha route on P and O.
     Every inequality instance is built by the local `check`, which holds
     the pass rule: the strict gap rhs - lhs must exceed 10x the iteration
     tolerance.  Instances below a claim's domain are marked "na" and never
@@ -453,14 +453,14 @@ def verify_suite(
     powers = [key for key in graphs if key[0] in _POWER_TAGS]
     bases = spectral_radii_tensor([simple_family_graph(*key) for key in powers], opts)
     cross = {key: _power_result(res, k) for key, res in zip(powers, bases)}
-    cross |= {(t, m, g): spectral_radius_alpha(t, k, m) for t, m, g in graphs if t in ("P", "O")}
+    cross |= {key: spectral_radius_alpha(graphs[key]) for key in graphs if key[0] in ("P", "O")}
 
     def label(key: tuple) -> str:
         tag, m, g = key
         return f"{tag}(m={m})" if g is None else f"{tag}(m={m},g={g})"
 
     def check(m: int, detail: str, lhs_key: tuple, rhs_key: tuple) -> InstanceCheck:
-        lhs = spectral_radius_alpha("P", k, m).rho if lhs_key[0] == "alpha-bound" else rho[lhs_key]
+        lhs = cross[("P", m, None)].rho if lhs_key[0] == "alpha-bound" else rho[lhs_key]
         rhs = rho[rhs_key]
         gap = rhs - lhs
         return InstanceCheck(k, m, detail, label(lhs_key), label(rhs_key), lhs, rhs, gap, tol,

@@ -57,8 +57,7 @@ _SHIFT = 1.0  # any positive shift works; a large one loses rho to rounding
 
 class ConvergenceError(RuntimeError):
     """Raised when an iteration cannot reach its requested tolerance: the
-    enclosure fails to shrink within the budget, or a root bisection ends
-    farther from the root than the tolerance allows."""
+    enclosure fails to shrink within the budget."""
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,20 @@
-"""Test-only utilities: brute-force isomorphism, relabeling and random
-linear unicyclic hypergraphs."""
+"""Test-only utilities: brute-force isomorphism, relabeling, random
+linear unicyclic hypergraphs and the exact alpha of P and O."""
 
 import numpy as np
 
-from hyperspec import Hypergraph, make_hypergraph
+from hyperspec import FamilySpec, Hypergraph, family, make_hypergraph, solve_alpha
+
+
+def solve_alpha_P(r: int) -> float:
+    """alpha of P with r pendant edges past its triangle (m = r + 4), from
+    the general route; it is the same at every k."""
+    return solve_alpha(family(FamilySpec("P", 3, r + 4)))[0]
+
+
+def solve_alpha_O(r: int) -> float:
+    """alpha of O with r pendant edges past its triangle (m = r + 4)."""
+    return solve_alpha(family(FamilySpec("O", 3, r + 4)))[0]
 
 
 def relabel(h: Hypergraph, perm: list[int]) -> Hypergraph:

@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 from conftest import POOL_OPTS
-from helpers import relabel
+from helpers import relabel, solve_alpha_O, solve_alpha_P
 
 from hyperspec import (
     EdgeMove,
@@ -36,8 +36,6 @@ from hyperspec import (
     rank_by_rho,
     rayleigh,
     rho_from_alpha,
-    solve_alpha_O,
-    solve_alpha_P,
     spectral_radius_power_formula,
     spectral_radius_tensor,
     simple_family_graph,

@@ -1,6 +1,9 @@
-"""Scalar functions, root finders, and the closed-form incidence labelings."""
+"""Scalar functions, the general alpha route, and the closed-form incidence
+labelings."""
 
+import numpy as np
 import pytest
+from helpers import random_unicyclic, solve_alpha_O, solve_alpha_P
 
 from hyperspec import (
     FamilySpec,
@@ -10,16 +13,18 @@ from hyperspec import (
     build_B_Q_supernormal,
     check_normal,
     cycle_consistency,
+    enumerate_linear_unicyclic,
     f_O,
     f_P,
     family,
     family_q_with_roles,
     gamma,
+    make_hypergraph,
     phi,
     psi,
     rho_from_alpha,
-    solve_alpha_O,
-    solve_alpha_P,
+    solve_alpha,
+    spectral_radii_tensor,
     spectral_radius_alpha,
     spectral_radius_tensor,
     weights_to_text,
@@ -260,19 +265,66 @@ def test_build_checks_m_as_the_family_does(build, m, message):
 def test_spectral_radius_alpha_record(k, tag, solver, f):
     for m in (5, 7, 9):
         alpha = solver(m - 4)
-        res = spectral_radius_alpha(tag, k, m)
-        assert res.rho == rho_from_alpha(alpha, k)
-        assert res.residual == abs(f(alpha, m - 4) - 1.0)
+        h = family(FamilySpec(tag, k, m))
+        lo, hi = solve_alpha(h)
+        res = spectral_radius_alpha(h)
+        assert lo == alpha  # the bracket does not depend on k
+        assert lo < hi and 0.5 * (lo + hi) in (lo, hi)
+        assert abs(f(alpha, m - 4) - 1.0) <= 1.2e-14
+        assert res.rho == rho_from_alpha(lo, k)
+        assert res.residual == rho_from_alpha(lo, k) - rho_from_alpha(hi, k)
         assert (res.perron, res.iterations, res.method) == (None, 0, "alpha-normal")
 
 
 def test_spectral_radius_alpha_domain():
-    with pytest.raises(ValueError, match="covers P and O, not 'Q'"):
-        spectral_radius_alpha("Q", 3, 6)
-    with pytest.raises(ValueError, match="P needs m >= 5"):
-        spectral_radius_alpha("P", 3, 4)
-    with pytest.raises(ValueError, match="k >= 3"):
-        spectral_radius_alpha("O", 2, 6)
+    for edges in (
+        [[0, 1, 2], [2, 3, 4]],  # a hypertree
+        [[0, 1, 2], [3, 4, 5]],  # disconnected
+        [[0, 1, 2], [0, 2, 6], [2, 3, 4], [4, 5, 6]],  # two cycles
+        [[0, 1, 2], [0, 1, 3]],  # one cycle, through two edges sharing two vertices
+    ):
+        h = make_hypergraph(3, edges)
+        for route in (solve_alpha, spectral_radius_alpha):
+            with pytest.raises(ValueError, match="connected linear unicyclic"):
+                route(h)
+
+
+# --- the general alpha route against the tensor route ---------------------------
+
+def assert_alpha_matches_tensor(hs: list, rel: float = 1e-11) -> None:
+    for h, res in zip(hs, spectral_radii_tensor(hs)):
+        assert spectral_radius_alpha(h).rho == pytest.approx(res.rho, rel=rel), h
+
+
+def test_alpha_route_on_every_class():
+    # 926 classes: every k = 3..8 with m <= 6, and k = 3 with m = 8
+    for k in range(3, 9):
+        for m in range(3, 7):
+            assert_alpha_matches_tensor(enumerate_linear_unicyclic(k, m))
+    assert_alpha_matches_tensor(enumerate_linear_unicyclic(3, 8))
+
+
+def test_alpha_route_on_random_unicyclic():
+    rng = np.random.default_rng(2016)
+    for _ in range(30):
+        k, m = int(rng.integers(3, 9)), int(rng.integers(30, 61))
+        assert_alpha_matches_tensor([random_unicyclic(k, m, rng)])
+
+
+def test_alpha_route_on_o_26():
+    # f_O is so steep near its pole that a bisection on f_O = 1 missed its
+    # tolerance here; the feasibility bisection has no such tolerance
+    h = family(FamilySpec("O", 3, 26))
+    lo, hi = solve_alpha(h)
+    assert hi - lo <= 1e-17
+    assert_alpha_matches_tensor([h])
+
+
+def test_alpha_route_at_k_2():
+    # a triangle is 2-regular: rho = 2, alpha = 1/4
+    lo, hi = solve_alpha(make_hypergraph(2, [[0, 1], [1, 2], [0, 2]]))
+    assert rho_from_alpha(lo, 2) == pytest.approx(2.0, rel=1e-15)
+    assert lo <= 0.25 <= hi and hi - lo <= 1e-16
 
 
 def test_weighted_incidence_validation():

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from hyperspec import cli
 from hyperspec.cli import run
 
 
@@ -44,13 +43,14 @@ def test_rho_power_formula_method(tmp_path, capsys):
 
 
 # the full records of the second routes at k = 3, recorded before both routes
-# moved into the library
+# moved into the library; the alpha records since the residual became the
+# alpha bracket's width on rho, below one ulp of rho here
 SECOND_ROUTE_RECORDS = [
     (("--family", "P", "--m", "5"), "alpha",
-     {"rho": 1.7099759466766971, "residual": 1.1102230246251565e-16, "iterations": 0,
+     {"rho": 1.7099759466766968, "residual": 0.0, "iterations": 0,
       "method": "alpha-normal"}),
     (("--family", "O", "--m", "6"), "alpha",
-     {"rho": 1.7630122045023235, "residual": 2.2204460492503131e-16, "iterations": 0,
+     {"rho": 1.7630122045023235, "residual": 0.0, "iterations": 0,
       "method": "alpha-normal"}),
     (("--family", "S", "--m", "7", "--g", "4"), "power-formula",
      {"rho": 1.8171205928321394, "residual": 4.4142467459096224e-13, "iterations": 34,
@@ -74,12 +74,24 @@ def test_rho_second_route_records(tmp_path, capsys, spec, method, expected):
         assert got[key] == pytest.approx(expected[key], rel=1e-12), key
 
 
-def test_rho_alpha_rejects_other_shapes(tmp_path, capsys):
-    out = tmp_path / "t1.json"
-    invoke(capsys, "build", "--family", "T1", "--k", "3", "--m", "5", "-o", str(out))
-    code, _, err = invoke(capsys, "rho", str(out), "--method", "alpha")
-    assert code == 2
-    assert "P and O" in err
+# a triangle with a 50-edge path hanging from one of its vertices
+HANGING_PATH = [[0, 1, 3], [1, 2, 4], [0, 2, 5]] + [
+    [0 if i == 0 else 5 + 2 * i, 6 + 2 * i, 7 + 2 * i] for i in range(50)]
+
+
+@pytest.mark.parametrize("spec", [("--family", "T1", "--m", "5"), ("hanging-path",)],
+                         ids=["T1-m5", "hanging-path-50"])
+def test_rho_alpha_agrees_with_tensor_beyond_p_and_o(tmp_path, capsys, spec):
+    path = tmp_path / "g.json"
+    if spec == ("hanging-path",):
+        path.write_text(json.dumps({"k": 3, "n": 106, "edges": HANGING_PATH}))
+    else:
+        build(capsys, path, *spec)
+    code, via_alpha, _ = invoke(capsys, "rho", str(path), "--method", "alpha")
+    assert code == 0
+    _, via_tensor, _ = invoke(capsys, "rho", str(path))
+    assert json.loads(via_alpha)["method"] == "alpha-normal"
+    assert json.loads(via_alpha)["rho"] == pytest.approx(json.loads(via_tensor)["rho"], rel=1e-11)
 
 
 @pytest.mark.parametrize(
@@ -92,21 +104,7 @@ def test_rho_alpha_rejects_non_unicyclic_input(tmp_path, capsys, text):
     path.write_text(text)
     code, _, err = invoke(capsys, "rho", str(path), "--method", "alpha")
     assert code == 2
-    assert "P and O" in err
-
-
-def test_rho_alpha_refuses_by_profile_before_canonical_code(tmp_path, capsys, monkeypatch):
-    # a triangle with a 50-edge hanging path has one pendent edge, not m - 3
-    path = [[0 if i == 0 else 5 + 2 * i, 6 + 2 * i, 7 + 2 * i] for i in range(50)]
-    edges = [[0, 1, 3], [1, 2, 4], [0, 2, 5]] + path
-    g = tmp_path / "g.json"
-    g.write_text(json.dumps({"k": 3, "n": 106, "edges": edges}))
-    calls = []
-    monkeypatch.setattr(cli, "canonical_form", lambda h: calls.append(h))
-    code, _, err = invoke(capsys, "rho", str(g), "--method", "alpha")
-    assert code == 2
-    assert "P and O" in err
-    assert calls == []
+    assert "the alpha route needs a connected linear unicyclic hypergraph" in err
 
 
 BAD_FILES = {
@@ -153,17 +151,15 @@ BAD_FILES = {
         (("profile", "{text_plus_sign}"), 2, "'+3' is not a decimal integer"),
         (("profile", "{json_deep}"), 2, "malformed hypergraph JSON"),
         (("profile", "{json_missing_key}"), 2, "missing key 'n'"),
-        (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "1e-30"), 3, "bisection"),
+        # O's alpha sits so close to the pole of f_O that a bisection on f_O = 1
+        # missed its tolerance here (exit 3)
+        (("alpha", "solve", "--family", "O", "--r", "22"), 0, ""),
+        # P_4 would be O_4
+        (("alpha", "solve", "--family", "P", "--r", "0"), 2, "P needs m >= 5 (got 4)"),
         (("rank", "--k", "3", "--m", "5", "--max-iter", "3"), 3, "did not reach"),
         (("verify", "--k", "3", "--m", "5", "--max-iter", "3"), 3, "did not reach"),
         (("rho", "{q6}", "--tol", "inf"), 2, "tolerance must be finite"),
         (("rho", "{q6}", "--tol", "nan"), 2, "tolerance must be finite"),
-        (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "0"), 2, "finite and positive"),
-        (("alpha", "solve", "--family", "O", "--r", "2", "--tol", "-1"), 2, "finite and positive"),
-        (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "nan"), 2,
-         "finite and positive"),
-        (("alpha", "solve", "--family", "P", "--r", "2", "--tol", "inf"), 2,
-         "finite and positive"),
         # no m of 1..3 is in a claim's domain, so no family member checks k
         (("verify", "--k", "2", "--m", "1..3"), 2, "k >= 3"),
         (("verify", "--k", "-5", "--m", "3"), 2, "'-5' is not a decimal integer"),
@@ -196,10 +192,9 @@ BAD_FILES = {
          "json-id-out-of-range", "json-n-string", "json-id-bool", "json-id-negative",
          "text-id-gap", "text-underscore", "text-plus-sign", "json-nested-too-deep",
          "json-missing-key",
-         "alpha-solve-unreachable-tol",
+         "alpha-solve-o-r-22", "alpha-solve-p-r-0",
          "rank-max-iter", "verify-max-iter", "rho-tol-inf", "rho-tol-nan",
-         "alpha-solve-tol-zero", "alpha-solve-tol-negative", "alpha-solve-tol-nan",
-         "alpha-solve-tol-inf", "verify-k-2-no-member", "verify-k-negative",
+         "verify-k-2-no-member", "verify-k-negative",
          "flag-underscore", "flag-full-width-digit", "verify-range-plus-sign",
          "move-space", "text-empty", "text-no-m", "text-short", "text-k-1",
          "move-two-fields", "move-target-out-of-range", "move-edge-out-of-range",
@@ -340,6 +335,14 @@ def test_cap_flag_is_gone(capsys, argv):
         run([*argv, "--cap", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --cap" in capsys.readouterr().err
+
+
+def test_alpha_solve_tol_flag_is_gone(capsys):
+    # the feasibility bisection runs until its bracket is two adjacent floats
+    with pytest.raises(SystemExit) as exc:
+        run(["alpha", "solve", "--family", "P", "--r", "2", "--tol", "1e-13"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
