@@ -232,10 +232,13 @@ def solve_alpha(h: Hypergraph) -> tuple[float, float]:
     and is consistent when prod x_i^2 = prod c_i = det M.
 
     alpha is feasible when every 1 - D > 0, tr M > 0, tr(M)^2 > 4 det M and
-    both fixed points of F have positive orbits.  Starts between them do
-    too, end at F(x_0) > x_0 and carry prod x_i across sqrt(det M): one is
-    consistent, strictly subnormal (vertex 0's row is 1 - F(x_0) + x_0),
-    so rho < alpha^(-1/k).  D grows with alpha, so F falls pointwise and
+    the fixed point of the larger eigenvalue, which attracts and so is
+    stable in floats, has a positive orbit.  Starts with positive orbits
+    form an interval (t, inf) on which F rises, is concave and F(t) = 0, so
+    the other fixed point lies there too.  Starts between the two end at
+    F(x_0) > x_0 and carry prod x_i = p x_0 + q across sqrt(det M): one is
+    consistent, strictly subnormal (vertex 0's row is 1 - F(x_0) + x_0), so
+    rho < alpha^(-1/k).  D grows with alpha, so F falls pointwise and
     smaller alphas stay feasible; the fixed points merge at the exact alpha.
     """
     if structural_profile(h).classification != "unicyclic":
@@ -257,19 +260,20 @@ def _feasible(alpha: float, trees: list, branches: list, beads: list) -> bool:
             return False
     d = [slack[v] for v, _ in beads[1:] + beads[:1]]  # d_{i+1}
     c = [alpha / math.prod([slack[t] for t in side]) for _, side in beads]
-    a, b, p, q = 1.0, 0.0, 0.0, 1.0  # M = [[a, b], [p, q]]
-    for di, ci in zip(d, c):
+    a, b, p, q, det = 1.0, 0.0, 0.0, 1.0, 1.0  # M / s = [[a, b], [p, q]], det(M / s)
+    for di, ci in zip(d, c):  # s rescales each step: M's entries shrink like c^(g/2)
         a, b, p, q = di * a - ci * p, di * b - ci * q, a, b
-    tr, det = a + q, math.prod(c)
+        s = max(abs(a), abs(b), abs(p), abs(q))
+        a, b, p, q, det = a / s, b / s, p / s, q / s, det * ci / s / s
+    tr = a + q
     disc = tr * tr - 4.0 * det
     if not (tr > 0 and disc > 0 and p > 0):
         return False
-    for lam in (0.5 * (tr + math.sqrt(disc)), 0.5 * (tr - math.sqrt(disc))):
-        x = (lam - q) / p  # the fixed point with eigenvalue lam
-        for di, ci in zip(d, c):
-            if not x > 0:
-                return False
-            x = di - ci / x
+    x = (0.5 * (tr + math.sqrt(disc)) - q) / p  # the attracting fixed point
+    for di, ci in zip(d, c):
+        if not x > 0:
+            return False
+        x = di - ci / x
     return True
 
 

@@ -59,6 +59,7 @@ from .transforms import EdgeMove, move_edges, relocate, yss_move
 
 _SCALARS = {"f_P": f_P, "f_O": f_O, "gamma": gamma, "phi": phi, "psi": psi}
 _BUILDERS = {"P": build_B_P, "O": build_B_O, "Q": build_B_Q_supernormal}
+MAX_SOLVE_R = 10000  # alpha solve --r; about a second at the bound
 
 
 def _fmt(x: float) -> str:
@@ -67,12 +68,8 @@ def _fmt(x: float) -> str:
 
 def _render_json(obj) -> str:
     """JSON with 17-significant-digit floats and insertion-order keys."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    if obj is None or isinstance(obj, bool):
+        return json.dumps(obj)
     if isinstance(obj, float):
         return _fmt(obj)
     if isinstance(obj, int):
@@ -192,16 +189,14 @@ def _cmd_rho(args) -> int:
 
 def _cmd_alpha(args) -> int:
     if args.action == "eval":
-        fn = _SCALARS[args.fn]
-        if args.fn in ("f_P", "f_O"):
-            if args.r is None:
-                raise ValueError(f"{args.fn} needs --r")
-            value = fn(args.alpha, args.r)
-        else:
-            value = fn(args.alpha)
-        sys.stdout.write(_fmt(value) + "\n")
+        fn, takes_r = _SCALARS[args.fn], args.fn in ("f_P", "f_O")
+        if takes_r and args.r is None:
+            raise ValueError(f"{args.fn} needs --r")
+        sys.stdout.write(_fmt(fn(args.alpha, args.r) if takes_r else fn(args.alpha)) + "\n")
         return 0
-    if args.action == "solve":
+    if args.action == "solve":  # builds the member and bisects over it: time linear in r
+        if args.r > MAX_SOLVE_R:
+            raise ValueError(f"alpha solve takes --r <= {MAX_SOLVE_R} (got {args.r})")
         exact = family(FamilySpec(args.family, 3, args.r + 4))  # alpha is the same at every k
         sys.stdout.write(_fmt(solve_alpha(exact)[0]) + "\n")
         return 0
@@ -350,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(handler=_cmd_alpha)
     ps = asub.add_parser("solve", help="the exact alpha of the family at m = r + 4")
     ps.add_argument("--family", required=True, choices=["P", "O"])
-    ps.add_argument("--r", type=_integer, required=True)
+    ps.add_argument("--r", type=_integer, required=True, help=f"at most {MAX_SOLVE_R}")
     ps.set_defaults(handler=_cmd_alpha)
     pm = asub.add_parser("emit", help="emit the family's weighted incidence matrix")
     pm.add_argument("--family", required=True, choices=["P", "O", "Q"])

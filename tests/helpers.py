@@ -21,11 +21,13 @@ def relabel(h: Hypergraph, perm: list[int]) -> Hypergraph:
     return make_hypergraph(h.k, [[perm[v] for v in e] for e in h.edges])
 
 
-def random_unicyclic(k: int, m: int, rng: np.random.Generator) -> Hypergraph:
+def random_unicyclic(k: int, m: int, rng: np.random.Generator,
+                     g: int | None = None) -> Hypergraph:
     """A linear unicyclic k-graph with m edges: the k-th power of a cycle of
-    length 3..7, then pendant edges, each at a uniformly random vertex
-    present when it is added, with k-1 new vertices; ids shuffled."""
-    g = int(rng.integers(3, 8))
+    length g (3..7 at random if None), then pendant edges, each at a
+    uniformly random vertex present when it is added, with k-1 new
+    vertices; ids shuffled."""
+    g = int(rng.integers(3, 8)) if g is None else g
     n = g * (k - 1)
     edges = [[i, (i + 1) % g, *range(g + i * (k - 2), g + (i + 1) * (k - 2))] for i in range(g)]
     for _ in range(m - g):

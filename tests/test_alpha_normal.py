@@ -21,6 +21,7 @@ from hyperspec import (
     gamma,
     make_hypergraph,
     phi,
+    power_hypergraph,
     psi,
     rho_from_alpha,
     solve_alpha,
@@ -318,6 +319,36 @@ def test_alpha_route_on_o_26():
     lo, hi = solve_alpha(h)
     assert hi - lo <= 1e-17
     assert_alpha_matches_tensor([h])
+
+
+@pytest.mark.parametrize("g", [600, 1000])
+def test_alpha_route_on_long_cycles(g):
+    # a pure cycle's entries of M shrink like 2^-g: unscaled, they underflowed
+    # and the bisection stopped short of 1/4
+    h = family(FamilySpec("CyclePower", 3, g, g))
+    assert spectral_radius_alpha(h).rho == pytest.approx(4 ** (1 / 3), rel=1e-11)
+
+
+def test_alpha_route_on_cycles_with_trees():
+    # the repelling fixed point's orbit, followed forward, once ran off
+    # to negative values here at g >= 60
+    rng = np.random.default_rng(7)
+    hs = [random_unicyclic(k, 3 * g // 2, rng, g) for k, g in ((3, 40), (3, 60), (4, 60), (3, 80))]
+    assert_alpha_matches_tensor(hs)
+
+
+def test_alpha_route_on_a_long_cycle_with_pendants():
+    # the tensor route does not converge on so long a cycle; the input is the
+    # 3rd power of a simple graph, so rho is the graph's rho^(2/3)
+    rng = np.random.default_rng(600)
+    edges = [(i, (i + 1) % 600) for i in range(600)]
+    edges += [(int(rng.integers(600 + i)), 600 + i) for i in range(60)]
+    adjacency = np.zeros((660, 660))
+    for u, v in edges:
+        adjacency[u, v] = adjacency[v, u] = 1.0
+    expected = np.linalg.eigvalsh(adjacency)[-1] ** (2 / 3)
+    h = power_hypergraph(make_hypergraph(2, edges), 3)
+    assert spectral_radius_alpha(h).rho == pytest.approx(expected, rel=1e-11)
 
 
 def test_alpha_route_at_k_2():

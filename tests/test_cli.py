@@ -156,6 +156,9 @@ BAD_FILES = {
         (("alpha", "solve", "--family", "O", "--r", "22"), 0, ""),
         # P_4 would be O_4
         (("alpha", "solve", "--family", "P", "--r", "0"), 2, "P needs m >= 5 (got 4)"),
+        # the member is built and bisected, so the time grows with r
+        (("alpha", "solve", "--family", "O", "--r", "10001"), 2,
+         "alpha solve takes --r <= 10000 (got 10001)"),
         (("rank", "--k", "3", "--m", "5", "--max-iter", "3"), 3, "did not reach"),
         (("verify", "--k", "3", "--m", "5", "--max-iter", "3"), 3, "did not reach"),
         (("rho", "{q6}", "--tol", "inf"), 2, "tolerance must be finite"),
@@ -192,7 +195,7 @@ BAD_FILES = {
          "json-id-out-of-range", "json-n-string", "json-id-bool", "json-id-negative",
          "text-id-gap", "text-underscore", "text-plus-sign", "json-nested-too-deep",
          "json-missing-key",
-         "alpha-solve-o-r-22", "alpha-solve-p-r-0",
+         "alpha-solve-o-r-22", "alpha-solve-p-r-0", "alpha-solve-r-above-bound",
          "rank-max-iter", "verify-max-iter", "rho-tol-inf", "rho-tol-nan",
          "verify-k-2-no-member", "verify-k-negative",
          "flag-underscore", "flag-full-width-digit", "verify-range-plus-sign",
