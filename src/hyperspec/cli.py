@@ -59,7 +59,7 @@ from .transforms import EdgeMove, move_edges, relocate, yss_move
 
 _SCALARS = {"f_P": f_P, "f_O": f_O, "gamma": gamma, "phi": phi, "psi": psi}
 _BUILDERS = {"P": build_B_P, "O": build_B_O, "Q": build_B_Q_supernormal}
-MAX_SOLVE_R = 10000  # alpha solve --r; about a second at the bound
+MAX_SOLVE_R = 10000  # alpha solve --r, and alpha emit --m up to it + 4; about a second
 
 
 def _fmt(x: float) -> str:
@@ -200,7 +200,9 @@ def _cmd_alpha(args) -> int:
         exact = family(FamilySpec(args.family, 3, args.r + 4))  # alpha is the same at every k
         sys.stdout.write(_fmt(solve_alpha(exact)[0]) + "\n")
         return 0
-    FamilySpec(args.family, args.k, args.m)  # emit; checks m before alpha is solved
+    if args.m > MAX_SOLVE_R + 4:  # emit solves the member at m = r + 4, then writes it
+        raise ValueError(f"alpha emit takes --m <= {MAX_SOLVE_R + 4} (got {args.m})")
+    FamilySpec(args.family, args.k, args.m)  # checks m before alpha is solved
     exact = family(FamilySpec("O" if args.family == "O" else "P", args.k, args.m))  # Q uses P's
     alpha = args.alpha if args.alpha is not None else solve_alpha(exact)[0]
     w = _BUILDERS[args.family](args.m, args.k, alpha)
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(handler=_cmd_alpha)
     pm = asub.add_parser("emit", help="emit the family's weighted incidence matrix")
     pm.add_argument("--family", required=True, choices=["P", "O", "Q"])
-    pm.add_argument("--m", type=_integer, required=True)
+    pm.add_argument("--m", type=_integer, required=True, help=f"at most {MAX_SOLVE_R + 4}")
     pm.add_argument("--k", type=_integer, required=True)
     pm.add_argument("--alpha", type=float, default=None,
                     help="override the solved alpha")

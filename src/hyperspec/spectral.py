@@ -1,17 +1,41 @@
-"""Spectral radii via power iteration.
+"""Spectral radii via power iteration with restarted momentum.
 
 The adjacency tensor of a k-uniform hypergraph has entry 1/(k-1)! on every
 index tuple that enumerates an edge, so applying it to a vector reduces to
 per-edge products: (A x^{k-1})_i = sum over edges e containing i of
-prod_{j in e, j != i} x_j.  The shifted iteration (Ng, Qi & Zhou 2009)
+prod_{j in e, j != i} x_j.  For a connected hypergraph, every positive
+vector x and z = A x^{k-1} + s x^{[k-1]} (shift s = 1),
 
-    z = A x^{k-1} + x^{[k-1]},   x <- z^{[1/(k-1)]} / max(z...)
+    min_i z_i/x_i^{k-1} <= rho + s <= max_i z_i/x_i^{k-1}
 
-converges for every connected hypergraph (the shift makes the iteration
-primitive), and min_i z_i/x_i^{k-1} <= rho + 1 <= max_i z_i/x_i^{k-1}
-gives a certified enclosure at every step; iteration stops when the
-enclosure is narrower than the requested tolerance.  A simple graph is the
-case k = 2, where this is the shifted matrix power iteration.
+(Collatz-Wielandt for nonnegative irreducible tensors), so the enclosure
+certifies rho at any positive point, not only at an iterate of one
+particular scheme.  The shifted iteration of Ng, Qi & Zhou (2009),
+x <- z^{[1/(k-1)]} normalised, drives it to zero width; iteration stops
+when the enclosure at the point just evaluated is narrower than the
+tolerance, and rho, the Perron vector and the residual are all read at
+that point.  A simple graph is the case k = 2.
+
+The iterate is held in log space, u = log x with max u = 0, which keeps
+every point positive however far it is extrapolated.  A sweep evaluates
+at x = exp(v), v = u + c (u - u_prev) normalised to max v = 0, with
+c = t/(t+3) where t counts the sweeps since the graph's last restart
+(Nesterov's (j-1)/(j+2) at j = t+1), so t = 0 is a plain NQZ step; the
+next u is log(z)/(k-1), normalised the same way.  A graph restarts
+(t = 0) when its enclosure widened (O'Donoghue & Candes 2015) or when
+momentum is not provably stable for it.  Near the fixed point the log map
+is linear with J = (M + s I)/(rho + s), where (k-1) x_i^{k-1} M_ij sums
+prod_{l in e, l != i} x_l over the edges e that hold both i and j != i.
+M is similar to C/(k-1), C = sum_e P_e (q_e q_e^T - diag q_e^2), with P_e
+the product of x over e and q_e holding x_i^{-k/2} at each i in e and 0
+elsewhere; C >= -diag((A x^{k-1})_i / x_i^{k-1}) = -rho I at the fixed
+point, so M's eigenvalues are at least -rho/(k-1).  Momentum with c -> 1
+is stable exactly when J's eigenvalues exceed -1/3, which holds when
+4 s >= rho (3/(k-1) - 1); the loop checks it with hi - s >= rho in place
+of rho.  So momentum is always allowed at k >= 4, needs rho <= 8 at
+k = 3 and rho <= 2 at k = 2, and the power-formula base graphs (rho > 2)
+run plain steps.  Momentum and its restarts change only the speed, never
+what a result certifies.
 
 The iteration runs on a batch: B hypergraphs of one shape (k, n, m) share
 one (n, B) iterate, one column per graph, so graph b's vertex v sits at
@@ -25,10 +49,12 @@ so bincount sums each vertex's terms edge by edge.  Each graph keeps its
 own enclosure, the min and max of its own quotients z_i/x_i^{k-1}, and
 retires when that enclosure is narrower than the tolerance; a mask over
 the batch then compacts it, the edge columns and vertex entries of the
-graphs left re-offset rather than rebuilt.  Every operation on a graph's
-entries is the one a one-graph loop would do, in the same order, so a
-result does not depend on the batch it ran in.  spectral_radii_tensor
-batches a list by shape, and spectral_radius_tensor is the batch of one.
+graphs left re-offset rather than rebuilt, and their momentum state (the
+log iterate, t and the last width) taken with them.  Every operation on
+a graph's entries is the one a one-graph loop would do, in the same
+order, so a result does not depend on the batch it ran in.
+spectral_radii_tensor batches a list by shape, and spectral_radius_tensor
+is the batch of one.
 """
 
 from __future__ import annotations
@@ -52,7 +78,9 @@ __all__ = [
     "spectral_radius_power_formula",
 ]
 
-_SHIFT = 1.0  # any positive shift works; a large one loses rho to rounding
+# Any positive shift converges.  A large one loses rho to rounding, and a
+# small one turns momentum off: at k = 3 it needs rho <= 8 * _SHIFT.
+_SHIFT = 1.0
 
 
 class ConvergenceError(RuntimeError):
@@ -184,25 +212,37 @@ def _iterate(
     opts: IterationOptions,
     labels: Sequence[int],
 ) -> list[SpectralResult]:
-    """The shifted iteration on a batch of hypergraphs of one shape, from
-    the all-ones vector; labels name the inputs in a ConvergenceError.
+    """The restarted momentum iteration on a batch of hypergraphs of one
+    shape, from the all-ones vector; labels name the inputs in a
+    ConvergenceError.
 
     A graph retires when its own enclosure is narrower than the tolerance,
     and the batch is then compacted, so a converged graph costs nothing.
     """
     n, power = hs[0].n, hs[0].k - 1
+    # momentum is stable while 4 s >= gain * rho, tested as hi <= hi_max
+    gain = 3.0 / power - 1.0
+    hi_max = _SHIFT * (1.0 + 4.0 / gain) if gain > 0 else math.inf
     out: list[SpectralResult | None] = [None] * len(hs)
     rows = np.arange(len(hs))  # batch column -> index into hs
     cols, slots = _edge_columns([h.edges for h in hs], n)
-    xv = np.ones((n, len(hs)))  # the iterate, one column per graph
+    u = u_prev = np.zeros((n, len(hs)))  # log of the iterate, one column per graph
+    t = np.zeros(len(hs))  # per graph: sweeps since its last restart
+    width = np.full(len(hs), np.inf)  # per graph: its last enclosure width
     for it in range(1, opts.max_iterations + 1):
+        xv = u - u_prev  # the point u + c (u - u_prev), c = t/(t+3)
+        xv *= t / (t + 3.0)
+        xv += u
+        xv -= np.maximum.reduce(xv)
+        np.exp(xv, out=xv)
         xk = xv ** power
         y = _adjacency_product(cols, slots, xv.ravel()).reshape(xv.shape)
         z = y + xk  # _SHIFT * xk is xk exactly
         ratios = z / xk
         lo = np.minimum.reduce(ratios)  # per column: each graph's own
         hi = np.maximum.reduce(ratios)
-        done = hi - lo < opts.tolerance
+        w = hi - lo
+        done = w < opts.tolerance
         if np.count_nonzero(done):
             for j in np.flatnonzero(done).tolist():
                 rho = float(0.5 * (lo[j] + hi[j]) - _SHIFT)
@@ -217,14 +257,20 @@ def _iterate(
             if not np.count_nonzero(keep):
                 return out
             cols, slots = _compact(cols, keep)
-            rows, lo, hi = rows[keep], lo[keep], hi[keep]
-            z = np.compress(keep, z, axis=1)
-        x = z ** (1.0 / power)
-        xv = x / np.maximum.reduce(x)
+            rows, hi, w, t, width = rows[keep], hi[keep], w[keep], t[keep], width[keep]
+            z, u = np.compress(keep, z, axis=1), np.compress(keep, u, axis=1)
+        # restart where the enclosure widened, or where hi - s, an upper
+        # bound on rho, leaves momentum not provably stable
+        restart = (w > width) | (hi > hi_max)
+        t = np.where(restart, 0.0, t + 1.0)
+        width = w
+        u_prev, u = u, np.log(z)
+        u /= power
+        u -= np.maximum.reduce(u)
     raise ConvergenceError(
         f"tensor iteration did not reach tolerance {opts.tolerance} in "
         f"{opts.max_iterations} iterations for input {labels[rows[0]]} "
-        f"(enclosure width {hi[0] - lo[0]:.3e})"
+        f"(enclosure width {width[0]:.3e})"
     )
 
 

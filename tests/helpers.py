@@ -1,5 +1,6 @@
 """Test-only utilities: brute-force isomorphism, relabeling, random
-linear unicyclic hypergraphs and the exact alpha of P and O."""
+linear unicyclic hypergraphs, the exact alpha of P and O and a reference
+adjacency product."""
 
 import numpy as np
 
@@ -35,6 +36,22 @@ def random_unicyclic(k: int, m: int, rng: np.random.Generator,
         n += k - 1
     perm = rng.permutation(n).tolist()
     return relabel(make_hypergraph(k, edges), perm)
+
+
+def reference_product(h, x):
+    """A x^{k-1} by prefix and suffix products per edge, read off the edge
+    list with cumulative products instead of the kernel's column rows; the
+    products and their order are the kernel's."""
+    idx = np.asarray(h.edges, dtype=np.intp)
+    big = x[idx]
+    pre = big.cumprod(axis=1)
+    suf = big[:, ::-1].cumprod(axis=1)[:, ::-1]
+    excl = np.empty_like(big)
+    excl[:, 0] = suf[:, 1]
+    excl[:, -1] = pre[:, -2]
+    if h.k > 2:
+        excl[:, 1:-1] = pre[:, :-2] * suf[:, 2:]
+    return np.bincount(idx.ravel(), weights=excl.ravel(), minlength=h.n)
 
 
 def brute_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:

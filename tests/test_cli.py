@@ -188,6 +188,8 @@ BAD_FILES = {
         (("alpha", "emit", "--family", "Q", "--m", "3", "--k", "3"), 2, "Q needs m >= 5"),
         (("alpha", "emit", "--family", "P", "--m", "6", "--k", "3", "--alpha", "0.7"), 2,
          "alpha=0.7 outside (0, 1/2)"),
+        (("alpha", "emit", "--family", "Q", "--m", "10005", "--k", "3"), 2,
+         "alpha emit takes --m <= 10004 (got 10005)"),
         # a simple graph is its own second power: the formula would only relabel rho
         (("rho", "{simple_edge}", "--method", "power-formula"), 2, "power shortcut needs k >= 3"),
     ],
@@ -202,7 +204,8 @@ BAD_FILES = {
          "move-space", "text-empty", "text-no-m", "text-short", "text-k-1",
          "move-two-fields", "move-target-out-of-range", "move-edge-out-of-range",
          "yss-edge-out-of-range", "relocate-k-mismatch", "alpha-emit-o-m-2",
-         "alpha-emit-q-m-3", "alpha-emit-alpha-outside", "power-formula-k-2"],
+         "alpha-emit-q-m-3", "alpha-emit-alpha-outside", "alpha-emit-m-above-bound",
+         "power-formula-k-2"],
 )
 def test_error_exit_codes(tmp_path, capsys, argv, expected, message):
     paths = {}
