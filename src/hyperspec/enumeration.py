@@ -43,9 +43,9 @@ from math import gcd
 
 from .alpha_normal import spectral_radius_alpha
 from .canonical import BeadReader, canonical_form, canonical_id
-from .families import _POWER_TAGS, FamilySpec, family, simple_family_graph
+from .families import FamilySpec, family
 from .hypergraph import Hypergraph
-from .spectral import IterationOptions, SpectralResult, _power_result, spectral_radii_tensor
+from .spectral import IterationOptions, SpectralResult, spectral_radii_tensor
 
 __all__ = [
     "CapExceededError",
@@ -370,15 +370,15 @@ def verify_suite(
     its domain, and, for one m, the (detail, lhs key, rhs key) triples it
     checks.  A key is (tag, m, g) for a family member, or ("alpha-bound",
     m, None) for the exact alpha value of P.  Every radius is then read
-    from one batched solve: one tensor iteration over all family members
-    read (members of one m share a shape), one over the power families'
-    base graphs, raised to 2/k, and the alpha route on P and O.
+    from one batched tensor iteration over all family members read
+    (members of one m share a shape), and every member is solved a second
+    time by the alpha route, which shares no code with the iteration.
     Every inequality instance is built by the local `check`, which holds
     the pass rule: the strict gap rhs - lhs must exceed 10x the iteration
     tolerance.  Instances below a claim's domain are marked "na" and never
-    counted as passes.  A cross-method agreement claim covers every family
-    member read along the way and passes when the two routes differ by at
-    most CROSS_METHOD_TOL.
+    counted as passes.  A cross-method agreement claim has one row per
+    family member read and passes when the two routes differ by at most
+    CROSS_METHOD_TOL.
     """
     # checked first: with no m in any claim's domain no member is built, so
     # family() would never see k
@@ -447,13 +447,10 @@ def verify_suite(
     table = [(claim, desc, [(m, rows(m) if m >= dom else None) for m in range(m_lo, m_hi + 1)])
              for claim, desc, dom, rows in claims]
 
-    # one batched solve: the family members, then the power families' base graphs
+    # one batched tensor solve, and the alpha route on every member
     solved = spectral_radii_tensor(list(graphs.values()), opts)
     rho = {key: res.rho for key, res in zip(graphs, solved)}
-    powers = [key for key in graphs if key[0] in _POWER_TAGS]
-    bases = spectral_radii_tensor([simple_family_graph(*key) for key in powers], opts)
-    cross = {key: _power_result(res, k) for key, res in zip(powers, bases)}
-    cross |= {key: spectral_radius_alpha(graphs[key]) for key in graphs if key[0] in ("P", "O")}
+    cross = {key: spectral_radius_alpha(h) for key, h in graphs.items()}
 
     def label(key: tuple) -> str:
         tag, m, g = key

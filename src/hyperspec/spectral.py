@@ -299,10 +299,6 @@ def spectral_radius_power_formula(
         raise ValueError("power shortcut needs k >= 3")
     if g.k != 2:
         raise ValueError("power shortcut needs a simple graph (k = 2)")
-    return _power_result(spectral_radius_tensor(g, opts), k)
-
-
-def _power_result(base: SpectralResult, k: int) -> SpectralResult:
-    """The power-formula record of a k-th power from its base graph's result."""
+    base = spectral_radius_tensor(g, opts)
     return SpectralResult(rho=base.rho ** (2.0 / k), perron=None, residual=base.residual,
                           iterations=base.iterations, method="power-formula")

@@ -408,6 +408,30 @@ def test_verify_failure_exit_code(capsys):
     assert code == 1
 
 
+def test_verify_cross_checks_q_by_alpha(monkeypatch, capsys):
+    """Q, the third-place family, has its own alpha cross row: an alpha
+    route that puts Q's radius 1e-6 off fails cross-method on a Q row, and
+    verify exits 1."""
+    from dataclasses import replace
+
+    from hyperspec import FamilySpec, enumeration, family
+
+    q = {family(FamilySpec(tag="Q", k=3, m=m)) for m in range(5, 8)}
+    alpha = enumeration.spectral_radius_alpha
+
+    def skewed(h):
+        res = alpha(h)
+        return replace(res, rho=res.rho + 1e-6) if h in q else res
+
+    monkeypatch.setattr(enumeration, "spectral_radius_alpha", skewed)
+    code, stdout, _ = invoke(capsys, "verify", "--k", "3", "--m", "5..7", "--format", "json")
+    assert code == 1
+    cross = next(r for r in json.loads(stdout) if r["claim"] == "cross-method")
+    assert cross["verdict"] == "fail"
+    failed = [i["lhs_label"] for i in cross["instances"] if i["status"] == "fail"]
+    assert failed == [f"|tensor-alpha-normal| Q(m={m})" for m in range(5, 8)]
+
+
 def build(capsys, path, *spec):
     code, _, _ = invoke(capsys, "build", *spec, "--k", "3", "-o", str(path))
     assert code == 0

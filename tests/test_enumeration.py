@@ -345,18 +345,19 @@ def test_verify_suite_matches_pinned_instances(k):
 
 
 def test_verify_suite_solves_in_one_batch_per_shape(monkeypatch):
-    """Family members of one m share a shape, and so do their base graphs,
-    so m = 5..12 needs at most 2 x 8 batched iterations."""
+    """Family members of one m share a shape, so m = 5..12 needs at most 8
+    batched iterations, and the second route solves no k = 2 base graph."""
     calls = []
     iterate = spectral._iterate
 
     def counted(*args, **kwargs):
-        calls.append(len(args[0]))
+        calls.append((args[0][0].k, len(args[0])))
         return iterate(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "_iterate", counted)
     verify_suite(3, 5, 12)
-    assert len(calls) <= 16, calls
+    assert len(calls) <= 8, calls
+    assert all(k == 3 for k, _ in calls), calls
 
 
 def test_third_place_at_m8_by_full_enumeration():
