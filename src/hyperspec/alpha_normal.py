@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 from .canonical import read_beads
 from .families import family_o_with_roles, family_p_with_roles, family_q_with_roles
-from .hypergraph import Hypergraph, structural_profile, unique_cycle
+from .hypergraph import Hypergraph, unique_cycle
 from .spectral import SpectralResult
 
 __all__ = [
@@ -129,8 +129,7 @@ def check_normal(w: WeightedIncidence, alpha: float) -> NormalityReport:
     tol = DEFAULT_CHECK_TOL
     rows = tuple(w.row_sum(v) for v in range(h.n))
     prods = tuple(w.edge_product(j) for j in range(h.m))
-    profile = structural_profile(h)
-    cyc = cycle_consistency(w) if profile.classification == "unicyclic" else None
+    cyc = cycle_consistency(w) if h._linear_unicyclic else None
 
     rows_eq = all(abs(r - 1.0) <= tol for r in rows)
     prods_eq = all(abs(p - alpha) <= tol for p in prods)
@@ -241,7 +240,7 @@ def solve_alpha(h: Hypergraph) -> tuple[float, float]:
     rho < alpha^(-1/k).  D grows with alpha, so F falls pointwise and
     smaller alphas stay feasible; the fixed points merge at the exact alpha.
     """
-    if structural_profile(h).classification != "unicyclic":
+    if not h._linear_unicyclic:
         raise ValueError("the alpha route needs a connected linear unicyclic hypergraph")
     trees, branches, beads, _ = read_beads(h)
     lo, hi = 0.0, 1.0

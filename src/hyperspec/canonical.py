@@ -11,10 +11,12 @@ hangs below it) and every branch (an edge node and the trees on its other
 vertices) gets a flat code: its height, then its rank within that height by
 sorted child codes.  The cycle is read in its least order over all
 rotations and both directions (Booth's algorithm), and the vertices are
-numbered depth-first from the core, children in code order.  Two readers
-feed it: the enumerator numbers its trees, branches and beads itself, and
-canonicalize() takes them from read_beads(), which reads the peel in
-`hypergraph.py`, leaves first; the alpha route reads the same lists.
+numbered depth-first from the core, children in code order, and each
+representative carries its rendered canonical form.  Two readers feed it:
+the enumerator numbers its trees, branches and beads itself, and
+canonicalize() takes them from read_beads(), the lists the peel in
+`hypergraph.py` numbers as it strips the leaves, once per hypergraph and
+cached on it; the alpha route reads the same lists.
 
 Children with equal codes carry isomorphic subtrees and rotations with
 equal code sequences are automorphisms, so every tie-break yields the same
@@ -43,43 +45,17 @@ def canonicalize(h: Hypergraph) -> Hypergraph:
 
 
 def read_beads(h: Hypergraph) -> tuple[list, list, list, list]:
-    """BeadReader's (trees, branches, beads, center) for h, from the peel,
-    leaves first.  A hypertree has no beads, and its center is the tree at
-    its center vertex or the k on its center edge; a cycle has no center."""
-    n, m = h.n, h.m
+    """BeadReader's (trees, branches, beads, center) for h, from the peel in
+    `hypergraph.py`, leaves first; the lists are cached on h and shared
+    with the alpha route, so they must not be changed.  A hypertree has no
+    beads, and its center is the tree at its center vertex or the k on its
+    center edge; a cycle has no center."""
     if not h.is_connected:
         raise ValueError("canonical code needs a connected hypergraph")
-    cycles = m * h.k - (n + m) + 1
-    if cycles > 1:
+    if h._cycle_rank > 1:
         raise ValueError("canonical code needs at most one cycle in the incidence graph, "
-                         f"found {cycles}")
-    layers, walk = h._peel
-    adj = [[n + j for j in inc] for inc in h.incidence] + [list(e) for e in h.edges]
-    # node x is read as trees[ids[x]] (a vertex) or branches[ids[x]] (an edge),
-    # its children the neighbors in earlier layers (a layer holds one color)
-    ids = [-1] * (n + m)
-    trees: list[list[int]] = []
-    branches: list[list[int]] = []
-
-    def kids(x: int) -> list[int]:
-        return [ids[y] for y in adj[x] if ids[y] >= 0]
-
-    for layer in layers:
-        for x in layer:
-            parts = branches if x >= n else trees
-            ids[x] = len(parts)
-            parts.append(kids(x))
-    if len(walk) == 1:  # a hypertree: the tree at its center vertex, or k on its center edge
-        center = kids(walk[0])
-        if walk[0] < n:
-            trees.append(center)
-            center = [len(trees) - 1]
-        return trees, branches, [], center
-    # the walk starts at a cycle vertex, so it alternates vertex, edge
-    first = len(trees)
-    trees += [kids(v) for v in walk[::2]]
-    beads = [(first + i, kids(e)) for i, e in enumerate(walk[1::2])]
-    return trees, branches, beads, []
+                         f"found {h._cycle_rank}")
+    return h._peel[:4]
 
 
 def _least_rotation(s: list) -> int:
@@ -178,8 +154,7 @@ class BeadReader:
             else:
                 (cycle[i],), n = self._place([self.roots[b]], n, edges)
         edges += [tuple(sorted((cycle[i], cycle[(i + 1) % g], *side[i]))) for i in range(g)]
-        edges.sort()
-        return Hypergraph(k=self.k, n=n, edges=tuple(edges), _canonical=True)
+        return _represent(self.k, n, edges)
 
     def _hypertree(self, center: list[int]) -> Hypergraph:
         """The canonicalize() representative of the hypertree whose center
@@ -188,8 +163,7 @@ class BeadReader:
         labels, n = self._place(sorted(center, key=self.code.__getitem__), 0, edges)
         if len(labels) > 1:
             edges.append(tuple(labels))
-        edges.sort()
-        return Hypergraph(k=self.k, n=n, edges=tuple(edges), _canonical=True)
+        return _represent(self.k, n, edges)
 
     def _place(self, trees: list[int], n: int, edges: list) -> tuple[list[int], int]:
         """Append the edges of `trees`, placed one after another from label
@@ -216,6 +190,14 @@ class BeadReader:
         return roots, n
 
 
+def _represent(k: int, n: int, edges: list[tuple[int, ...]]) -> Hypergraph:
+    """The representative on the placed edges, sorted, carrying its
+    canonical form: the one place a form is rendered."""
+    edges.sort()
+    body = ";".join(",".join(map(str, e)) for e in edges)
+    return Hypergraph(k=k, n=n, edges=tuple(edges), _form=f"k{k} n{n} {body}".encode("ascii"))
+
+
 def _ranks(keys: list) -> list[int]:
     """Position of each key among the distinct keys, in sorted order."""
     order = {key: i for i, key in enumerate(sorted(set(keys)))}
@@ -224,10 +206,8 @@ def _ranks(keys: list) -> list[int]:
 
 def canonical_form(h: Hypergraph) -> bytes:
     """Canonical byte string; equal iff hypergraphs are isomorphic.  A
-    representative marked canonical is encoded without a second tree code."""
-    c = h if h._canonical else canonicalize(h)
-    body = ";".join(",".join(map(str, e)) for e in c.edges)
-    return f"k{c.k} n{c.n} {body}".encode("ascii")
+    representative BeadReader built carries it, so it is rendered once."""
+    return h._form if h._form is not None else canonicalize(h)._form
 
 
 def canonical_id(h: Hypergraph) -> str:

@@ -172,6 +172,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_rho(args) -> int:
+    if args.perron and args.method != "tensor":  # the other routes compute no vector
+        raise ValueError(f"--perron needs --method tensor (got --method {args.method})")
     h = load_hypergraph(args.input)
     opts = _iter_options(args)
     if args.method == "tensor":
@@ -333,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--method", choices=["tensor", "alpha", "power-formula"],
                    default="tensor")
-    p.add_argument("--perron", action="store_true", help="include the Perron vector")
+    p.add_argument("--perron", action="store_true",
+                   help="include the Perron vector (--method tensor only)")
     p.add_argument("-o", "--output", default=None)
     _add_iter_flags(p)
     p.set_defaults(handler=_cmd_rho)

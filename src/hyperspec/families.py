@@ -156,21 +156,22 @@ def simple_u1(m: int) -> Hypergraph:
 
 
 def simple_family_graph(tag: str, m: int, g: int | None = None) -> Hypergraph:
-    """Simple-graph counterpart of a power family."""
+    """Simple-graph counterpart of a power family, with m and g checked as
+    FamilySpec checks them."""
+    if tag not in _POWER_TAGS:
+        raise ValueError(f"{tag} is not a power family")
+    FamilySpec(tag, 3, m, g)  # k plays no part in the base graph
     if tag == "Hyperstar":
         return simple_star(m)
     if tag == "CyclePower":
-        return simple_cycle(g if g is not None else m)
+        return simple_cycle(m)
     if tag == "S":
-        assert g is not None
         return simple_s(m, g)
     if tag == "T1":
         return simple_t1(m)
     if tag == "T2":
         return simple_t2(m)
-    if tag == "U1":
-        return simple_u1(m)
-    raise ValueError(f"{tag} is not a power family")
+    return simple_u1(m)
 
 
 def _edge_index(h: Hypergraph, members: set[int]) -> int:

@@ -42,17 +42,18 @@ class Hypergraph:
     strict lexicographic order (so none is repeated), and that the ids used
     are exactly 0..n-1.  make_hypergraph() and the file readers only
     normalize, and the readers never renumber, so an error about a file
-    names its ids as written.  `_canonical` marks a
-    representative that canonical.BeadReader built, for canonicalize() or
-    the enumerator, so canonical_form() need not code it again and
-    is_connected need not search it (the reader builds connected graphs
-    only); it takes no part in equality.
+    names its ids as written.  `_form` is the canonical form that
+    canonical.BeadReader rendered for a representative it built, for
+    canonicalize() or the enumerator, so canonical_form() only looks it up
+    and is_connected need not search it (the reader builds connected
+    graphs only); it is None on every other graph and takes no part in
+    equality.
     """
 
     k: int
     n: int
     edges: tuple[tuple[int, ...], ...]
-    _canonical: bool = field(default=False, repr=False, compare=False)
+    _form: bytes | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -96,7 +97,7 @@ class Hypergraph:
 
     @cached_property
     def is_connected(self) -> bool:
-        if self._canonical:
+        if self._form is not None:
             return True
         seen = {0}
         todo = deque([0])
@@ -121,45 +122,81 @@ class Hypergraph:
                 seen.add(pair)
         return True
 
+    @property
+    def _cycle_rank(self) -> int:
+        """m(k-1) - n + 1, the number of independent cycles of the incidence
+        graph when it is connected."""
+        return self.m * (self.k - 1) - self.n + 1
+
+    @property
+    def _linear_unicyclic(self) -> bool:
+        """Connected, of cycle rank 1 and girth >= 3: at rank 1 two edges
+        sharing two vertices make the one cycle, of girth 2, so this is
+        linearity there, read off the peel's walk without a pair set."""
+        return self.is_connected and self._cycle_rank == 1 and len(self._peel[4]) > 4
+
     @cached_property
-    def _peel(self) -> tuple[list[list[int]], list[int]]:
-        """Leaf layers of the incidence graph and the walk around what survives.
+    def _peel(self) -> tuple[list, list, list, list, list[int]]:
+        """The one reading of the incidence graph, leaves first:
+        canonical.BeadReader's (trees, branches, beads, center) and the walk
+        around the core.
 
         Nodes 0..n-1 are the vertices and n+j is edge j.  Leaves are stripped
-        layer by layer.  A hypertree keeps its single center node (its leaves
-        are all vertex nodes, so the incidence tree has even diameter); a
+        layer by layer, each numbered as it goes: a vertex node as a tree
+        (its branch ids), an edge node as a branch (the tree ids on its
+        other vertices).  Its children, its neighbors stripped before it, are
+        all numbered by then, as a layer holds one color.  A hypertree keeps
+        its single center node (its leaves are all vertex nodes, so the
+        incidence tree has even diameter), whose children are its center; a
         connected input with one cycle keeps that cycle, which never becomes
         a leaf.  The walk starts at the least surviving node and steps to the
         least unvisited survivor, so a cycle is walked from its least vertex
-        out through that vertex's smaller-index cycle edge.  Meaningful only
-        for connected inputs of cycle rank <= 1.
+        out through that vertex's smaller-index cycle edge, and bead i holds
+        the tree at its i-th vertex and the side trees of the edge after it.
+        Meaningful only for connected inputs of cycle rank <= 1.
         """
         n = self.n
         adj = [[n + j for j in inc] for inc in self.incidence] + [list(e) for e in self.edges]
         deg = [len(a) for a in adj]
-        stripped = [False] * len(adj)
-        layers = []
+        ids = [-1] * len(adj)  # -1 until the node is stripped
+        trees: list[list[int]] = []
+        branches: list[list[int]] = []
+
+        def kids(x: int) -> list[int]:
+            return [ids[y] for y in adj[x] if ids[y] >= 0]
+
         layer = [x for x, d in enumerate(deg) if d == 1]
         alive = len(adj)
         while layer and alive > 1:
-            layers.append(layer)
             for x in layer:
-                stripped[x] = True
+                parts = branches if x >= n else trees
+                ids[x] = len(parts)
+                parts.append(kids(x))
             nxt = []
             for x in layer:
                 for y in adj[x]:
-                    if not stripped[y]:
+                    if ids[y] < 0:
                         deg[y] -= 1
                         if deg[y] == 1:
                             nxt.append(y)
             alive -= len(layer)
             layer = nxt
-        walk = [stripped.index(False)]
+        walk = [ids.index(-1)]
         on_walk = set(walk)
-        while step := [y for y in adj[walk[-1]] if not stripped[y] and y not in on_walk]:
+        while step := [y for y in adj[walk[-1]] if ids[y] < 0 and y not in on_walk]:
             walk.append(step[0])
             on_walk.add(step[0])
-        return layers, walk
+        if len(walk) == 1:
+            center = kids(walk[0])
+            if walk[0] < n:
+                trees.append(center)
+                center = [len(trees) - 1]
+            return trees, branches, [], center, walk
+        # the walk starts at a cycle vertex, so it alternates vertex, edge
+        first = len(trees)
+        trees += [kids(v) for v in walk[::2]]
+        beads = [(first + i, kids(e)) for i, e in enumerate(walk[1::2])]
+        return trees, branches, beads, [], walk
 
 
 def make_hypergraph(k: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
@@ -254,9 +291,9 @@ class StructuralProfile:
 def structural_profile(h: Hypergraph) -> StructuralProfile:
     """Classify a hypergraph and report its pendant/cycle structure.
 
-    A connected input is classified by the cycle rank m(k-1) - n + 1 of its
-    incidence graph: rank 0 is a hypertree, rank 1 together with linearity
-    is a linear unicyclic hypergraph, whose girth is half the length of the
+    A connected input is classified by the cycle rank of its incidence
+    graph: rank 0 is a hypertree, rank 1 together with linearity is a
+    linear unicyclic hypergraph, whose girth is half the length of the
     incidence cycle.  Everything else, disconnected inputs included, is
     "other".
     """
@@ -266,24 +303,22 @@ def structural_profile(h: Hypergraph) -> StructuralProfile:
     pendent = tuple(
         j for j, e in enumerate(h.edges) if sum(1 for v in e if deg[v] == 1) >= h.k - 1
     )
-    linear = h.is_linear
     connected = h.is_connected
-    rank = h.m * (h.k - 1) - h.n + 1
 
     classification = "other"
     girth = None
-    if connected and rank == 0:
+    if connected and h._cycle_rank == 0:
         classification = "hypertree"
-    elif connected and rank == 1 and linear:
+    elif h._linear_unicyclic:
         classification = "unicyclic"
-        girth = len(h._peel[1]) // 2
+        girth = len(h._peel[4]) // 2
     return StructuralProfile(
         degrees=deg,
         cored_vertices=cored,
         pendent_edges=pendent,
         classification=classification,
         girth=girth,
-        linear=linear,
+        linear=h.is_linear,
         connected=connected,
     )
 
@@ -295,9 +330,9 @@ def unique_cycle(h: Hypergraph) -> tuple[list[int], list[int]]:
     e_l closes back to v0.  Orientation is fixed deterministically: start at
     the smallest cycle vertex and leave through its smallest-index cycle edge.
     """
-    if structural_profile(h).classification != "unicyclic":
+    if not h._linear_unicyclic:
         raise ValueError("hypergraph is not linear unicyclic")
-    walk = h._peel[1]
+    walk = h._peel[4]
     return walk[0::2], [x - h.n for x in walk[1::2]]
 
 

@@ -28,8 +28,10 @@ from hyperspec import (
     spectral_radii_tensor,
     spectral_radius_alpha,
     spectral_radius_tensor,
+    unique_cycle,
     weights_to_text,
 )
+from hyperspec import alpha_normal, hypergraph
 
 ALPHA_O_R1 = 0.20512274384927082  # root of alpha = (1 - 2*alpha)^3
 
@@ -288,6 +290,23 @@ def test_spectral_radius_alpha_domain():
         for route in (solve_alpha, spectral_radius_alpha):
             with pytest.raises(ValueError, match="connected linear unicyclic"):
                 route(h)
+
+
+def test_alpha_route_reads_its_domain_off_the_peel(monkeypatch):
+    """Connected, cycle rank 1 and girth >= 3 come from the cached reading:
+    no route builds a structural profile (and its O(m k^2) pair set) to
+    learn that the input is linear unicyclic."""
+    def no_profile(h):
+        raise AssertionError("built a structural profile")
+
+    monkeypatch.setattr(hypergraph, "structural_profile", no_profile)
+    monkeypatch.setattr(alpha_normal, "structural_profile", no_profile, raising=False)
+    h = family(FamilySpec("P", 3, 6))
+    lo, hi = solve_alpha(h)
+    assert 0 < lo < hi
+    assert spectral_radius_alpha(h).rho == rho_from_alpha(lo, 3)
+    assert len(unique_cycle(h)[1]) == 3
+    assert check_normal(build_B_P(6, 3, lo), lo).cycle_product == pytest.approx(1.0, abs=1e-12)
 
 
 # --- the general alpha route against the tensor route ---------------------------

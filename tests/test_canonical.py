@@ -18,7 +18,7 @@ from hyperspec import (
     power_hypergraph,
     simple_s,
 )
-from hyperspec.canonical import BeadReader, _least_rotation
+from hyperspec.canonical import BeadReader, _least_rotation, read_beads
 from hyperspec.cli import run
 
 HYPERPATH = make_hypergraph(3, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8)])
@@ -57,7 +57,16 @@ def test_canonicalize_is_idempotent():
         c = canonicalize(h)
         assert canonicalize(c) == c
         assert canonical_form(c) == canonical_form(h)
-        assert c._canonical
+        assert c._form is not None
+
+
+def test_read_beads_is_one_cached_reading():
+    """canonicalize and the alpha route read the lists the peel numbered
+    once for h, not a second reading of its incidence graph."""
+    for h in (family(FamilySpec(tag="Q", k=3, m=6)), make_hypergraph(3, [(0, 1, 2), (2, 3, 4)])):
+        first = read_beads(h)
+        canonicalize(h)
+        assert all(a is b for a, b in zip(first, read_beads(h)))
 
 
 def test_canonical_rep_preserves_shape():
@@ -143,7 +152,7 @@ def test_bead_reader_builds_canonicalize_of_the_cycle_it_reads():
     c = canonicalize(h)
     for seq in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         assert reader.build(seq) == c
-        assert reader.build(seq)._canonical
+        assert reader.build(seq)._form == canonical_form(c)
 
 
 @pytest.mark.parametrize(

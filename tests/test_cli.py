@@ -192,6 +192,10 @@ BAD_FILES = {
          "alpha emit takes --m <= 10004 (got 10005)"),
         # a simple graph is its own second power: the formula would only relabel rho
         (("rho", "{simple_edge}", "--method", "power-formula"), 2, "power shortcut needs k >= 3"),
+        # only the tensor route computes a Perron vector
+        (("rho", "{q6}", "--method", "alpha", "--perron"), 2, "--perron needs --method tensor"),
+        (("rho", "{q6}", "--method", "power-formula", "--perron"), 2,
+         "--perron needs --method tensor"),
     ],
     ids=["enumerate-cap", "json-edges-not-a-list", "json-k-float", "json-id-float",
          "json-id-out-of-range", "json-n-string", "json-id-bool", "json-id-negative",
@@ -205,7 +209,7 @@ BAD_FILES = {
          "move-two-fields", "move-target-out-of-range", "move-edge-out-of-range",
          "yss-edge-out-of-range", "relocate-k-mismatch", "alpha-emit-o-m-2",
          "alpha-emit-q-m-3", "alpha-emit-alpha-outside", "alpha-emit-m-above-bound",
-         "power-formula-k-2"],
+         "power-formula-k-2", "perron-alpha", "perron-power-formula"],
 )
 def test_error_exit_codes(tmp_path, capsys, argv, expected, message):
     paths = {}

@@ -101,7 +101,7 @@ def test_pool_members_are_marked_canonical(pool_by_m):
     so the mark must hold: the tree code leaves every member unchanged."""
     for pool in pool_by_m.values():
         for h in pool:
-            assert h._canonical
+            assert h._form is not None
             assert canonicalize(h).edges == h.edges
 
 
@@ -118,7 +118,7 @@ def test_bead_reading_builds_the_canonical_representative(k, m):
     for h in pool:
         perm = list(range(h.n))
         rng.shuffle(perm)
-        assert h._canonical
+        assert h._form is not None
         assert canonicalize(relabel(h, perm)) == h
 
 
@@ -133,6 +133,22 @@ def test_enumeration_and_ranking_run_no_tree_code(monkeypatch):
     pool = enumerate_linear_unicyclic(3, 7)
     assert len(pool) == 148
     assert len(rank_by_rho(pool)) == 148
+
+
+def test_rank_renders_each_class_once(monkeypatch):
+    """Each representative carries the form rendered when it was built, so
+    the pool sort and rank_by_rho's canonical ids render nothing again."""
+    renders = []
+    represent = canonical._represent
+
+    def counted(*args):
+        renders.append(args)
+        return represent(*args)
+
+    monkeypatch.setattr(canonical, "_represent", counted)
+    pool = enumerate_linear_unicyclic(3, 7)
+    rank_by_rho(pool)
+    assert len(renders) == len(pool) == 148
 
 
 def test_enumeration_domain_errors():

@@ -63,6 +63,20 @@ def test_family_domain_validation():
         FamilySpec(tag="Q", k=3, m=5, g=3)
 
 
+@pytest.mark.parametrize(
+    "tag,m,g,message",
+    [("S", 5, None, "needs a girth parameter g"), ("CyclePower", 5, 4, "m = g edges"),
+     ("CyclePower", 5, None, "needs a girth parameter g"), ("S", 3, 4, "m >= g"),
+     ("T2", 4, None, "T2 needs m >= 5"), ("Hyperstar", 3, 3, "no girth"),
+     ("Q", 5, None, "not a power family")],
+)
+def test_simple_family_graph_checks_m_and_g(tag, m, g, message):
+    """The base graph takes the m and g its power family takes: no bare
+    assert on a missing girth, and no cycle of another length than m."""
+    with pytest.raises(ValueError, match=message):
+        simple_family_graph(tag, m, g)
+
+
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("m", [5, 7])
 def test_families_are_linear_unicyclic_girth_3(k, m):

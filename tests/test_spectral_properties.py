@@ -1,5 +1,5 @@
-"""Property checks of the tensor and alpha routes on random linear
-unicyclic inputs."""
+"""Property checks of the tensor and alpha routes, and of the canonical
+code, on random linear unicyclic inputs."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from helpers import random_unicyclic, reference_product, relabel  # noqa: E402
 
 from hyperspec import (  # noqa: E402
     IterationOptions,
+    canonical_form,
     make_hypergraph,
     solve_alpha,
     spectral_radius_alpha,
@@ -73,3 +74,23 @@ def test_alpha_radius_grows_with_a_pendant_edge(h, data):
     assert spectral_radius_alpha(with_pendant(v)).rho >= rho
     c = data.draw(st.sampled_from(unique_cycle(h)[0]), label="cycle vertex")
     assert spectral_radius_alpha(with_pendant(c)).rho > rho
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(unicyclic(), st.integers(0, 2**32 - 1))
+def test_canonical_form_is_invariant_under_relabeling(h, seed):
+    """The peel reads the graph, not its ids: any permutation of the ids
+    gives the same canonical form, on inputs far larger than the pools."""
+    perm = np.random.default_rng(seed).permutation(h.n).tolist()
+    assert canonical_form(relabel(h, perm)) == canonical_form(h)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(unicyclic(), st.integers(0, 2**32 - 1))
+def test_tensor_radius_is_invariant_under_relabeling(h, seed):
+    """A permutation of the ids reorders the tensor iteration's sums but
+    not rho: each run returns the midpoint of an enclosure of rho narrower
+    than the tolerance, so the two differ by less than it."""
+    perm = np.random.default_rng(seed).permutation(h.n).tolist()
+    rho = spectral_radius_tensor(h).rho
+    assert abs(spectral_radius_tensor(relabel(h, perm)).rho - rho) < IterationOptions().tolerance
