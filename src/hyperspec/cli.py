@@ -77,6 +77,8 @@ def _render_json(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == {float}:  # a Perron vector: "%.17g" is _fmt
+            return "[" + ", ".join(map("%.17g".__mod__, obj)) + "]"
         return "[" + ", ".join(_render_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
         parts = (f"{json.dumps(str(key))}: {_render_json(val)}" for key, val in obj.items())
@@ -178,6 +180,11 @@ def _cmd_rho(args) -> int:
     opts = _iter_options(args)
     if args.method == "tensor":
         res = spectral_radius_tensor(h, opts)
+        if args.perron and 0.0 in res.perron:
+            raise ValueError(
+                f"{res.perron.count(0.0)} Perron entries lie below the smallest float and "
+                "would print as 0.0, so the vector cannot certify rho; run without --perron"
+            )
     elif args.method == "alpha":
         res = spectral_radius_alpha(h)
     else:  # power-formula

@@ -10,10 +10,10 @@ operations here are pure functions; hypergraphs are immutable once built.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
+from operator import lt
 from typing import Iterable
 
 __all__ = [
@@ -58,9 +58,29 @@ class Hypergraph:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError("uniformity k must be >= 2")
-        if not self.edges:
+        edges = self.edges
+        if not edges:
             raise ValueError("edge list is empty")
-        used: set[int] = set()
+        # whole-list passes: every edge a k-tuple, strictly increasing slot
+        # by slot, and the edges strictly increasing; only when one fails
+        # does _name_bad_edge walk the edges to name the first offender
+        ok = set(map(type, edges)) == {tuple} and set(map(len, edges)) == {self.k}
+        if ok:
+            slots = list(zip(*edges))
+            ok = all(all(map(lt, a, b)) for a, b in zip(slots, slots[1:]))
+        if not (ok and all(map(lt, edges, edges[1:]))):
+            self._name_bad_edge()
+        used = set(chain.from_iterable(edges))
+        # count, least and greatest id suffice, so a huge n builds no range
+        lo, hi = min(used), max(used)
+        if (len(used), lo, hi) != (self.n, 0, self.n - 1):
+            raise ValueError(
+                f"vertex count {self.n} does not match the edges: {len(used)} ids from {lo} to {hi}"
+            )
+
+    def _name_bad_edge(self) -> None:
+        """Raise for the first edge with a wrong size, a repeated vertex or
+        unsorted ids, or that does not come strictly after the one before."""
         prev: tuple[int, ...] = ()  # below every edge
         for e in self.edges:
             if len(e) != self.k or len(set(e)) != self.k:
@@ -70,13 +90,6 @@ class Hypergraph:
             if e <= prev:
                 raise ValueError(f"duplicate edge {e}" if e == prev else f"edge {e} is out of order")
             prev = e
-            used.update(e)
-        # count, least and greatest id suffice, so a huge n builds no range
-        lo, hi = min(used), max(used)
-        if (len(used), lo, hi) != (self.n, 0, self.n - 1):
-            raise ValueError(
-                f"vertex count {self.n} does not match the edges: {len(used)} ids from {lo} to {hi}"
-            )
 
     @property
     def m(self) -> int:
@@ -97,18 +110,24 @@ class Hypergraph:
 
     @cached_property
     def is_connected(self) -> bool:
+        """Union-find over the edges with path halving: each edge joins the
+        roots of its vertices, and the graph is connected when one root is
+        left."""
         if self._form is not None:
             return True
-        seen = {0}
-        todo = deque([0])
-        while todo:
-            v = todo.popleft()
-            for j in self.incidence[v]:
-                for w in self.edges[j]:
-                    if w not in seen:
-                        seen.add(w)
-                        todo.append(w)
-        return len(seen) == self.n
+        parent = list(range(self.n))
+        roots = self.n
+        for e in self.edges:
+            r = e[0]
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            for s in e[1:]:
+                while parent[s] != s:
+                    parent[s] = s = parent[parent[s]]
+                if s != r:
+                    parent[s] = r
+                    roots -= 1
+        return roots == 1
 
     @cached_property
     def is_linear(self) -> bool:
@@ -349,7 +368,7 @@ def hypergraph_from_json(text: str) -> Hypergraph:
     try:
         obj = json.loads(text)
         k, n, edges = obj["k"], obj["n"], obj["edges"]
-        ids = [v for e in edges for v in e]
+        ids = list(chain.from_iterable(edges))
     # KeyError: a missing "k", "n" or "edges";
     # TypeError: e.g. "edges": 5, or a JSON list at top level;
     # RecursionError: arrays nested too deep for the decoder
@@ -360,10 +379,11 @@ def hypergraph_from_json(text: str) -> Hypergraph:
     for name, v in (("k", k), ("n", n)):
         if type(v) is not int:  # not bool, float or str
             raise ValueError(f"{name} must be a JSON integer, got {v!r}")
-    for v in ids:
-        if type(v) is not int or not 0 <= v < n:
-            raise ValueError(f"vertex id {v!r} is not an integer in 0..{n - 1}")
-    return Hypergraph(k=k, n=n, edges=tuple(sorted(tuple(sorted(e)) for e in edges)))
+    if not (set(map(type, ids)) <= {int} and 0 <= min(ids, default=0) and max(ids, default=0) < n):
+        for v in ids:  # name the first offending id
+            if type(v) is not int or not 0 <= v < n:
+                raise ValueError(f"vertex id {v!r} is not an integer in 0..{n - 1}")
+    return Hypergraph(k=k, n=n, edges=tuple(sorted(map(tuple, map(sorted, edges)))))
 
 
 def hypergraph_to_text(h: Hypergraph) -> str:

@@ -18,10 +18,11 @@ that point.  A simple graph is the case k = 2.
 
 The iterate is held in log space, u = log x with max u = 0, which keeps
 every point positive however far it is extrapolated.  A sweep evaluates
-at x = exp(v), v = u + c (u - u_prev) normalised to max v = 0, with
-c = t/(t+3) where t counts the sweeps since the graph's last restart
-(Nesterov's (j-1)/(j+2) at j = t+1), so t = 0 is a plain NQZ step; the
-next u is log(z)/(k-1), normalised the same way.  A graph restarts
+at x = exp(v), v = u + c (u - u_prev), with c = t/(t+3) where t counts
+the sweeps since the graph's last restart (Nesterov's (j-1)/(j+2) at
+j = t+1), so t = 0 is a plain NQZ step and v is u itself; the next u is
+log(z)/(k-1) = v + log1p(q)/(k-1), with q the quotients
+(A x^{k-1})_i/x_i^{k-1}, normalised to max u = 0.  A graph restarts
 (t = 0) when its enclosure widened (O'Donoghue & Candes 2015) or when
 momentum is not provably stable for it.  Near the fixed point the log map
 is linear with J = (M + s I)/(rho + s), where (k-1) x_i^{k-1} M_ij sums
@@ -37,24 +38,36 @@ k = 3 and rho <= 2 at k = 2, and the power-formula base graphs (rho > 2)
 run plain steps.  Momentum and its restarts change only the speed, never
 what a result certifies.
 
+The quotients are taken from the log point alone, and x is never formed
+inside the loop.  The term of edge e at its slot i is
+exp(sum_{j in e, j != i} (v_j - v_i)); with w_j = v_j - v_(first slot)
+and d the sum of an edge's w_j, it is exp(d - k w_i), so every exponent
+is built from differences within one edge.  No power or product of
+entries is formed, so nothing underflows however small the Perron
+entries are: a hanging path whose far entries lie below 1e-308 converges
+like any other input, and only its printed vector loses those entries.
+The Perron vector exp(v), normalised to unit maximum, and the residual
+are formed only when a graph retires.  What is left is the rounding of v
+itself: an entry near -700 carries an ulp of 1.1e-13, and k such errors
+in an exponent bound how narrow the enclosure can get there.
+
 The iteration runs on a batch: B hypergraphs of one shape (k, n, m) share
 one (n, B) iterate, one column per graph, so graph b's vertex v sits at
-flat entry v*B + b, one bincount applies every adjacency tensor at once,
-and a graph's min and max run across the batch.  The edges are stored by
-column, row j of a (k, B*m) array holding slot j of every edge, so the
-product of the other k-1 entries at a slot (the prefix product before it
-times the suffix product after it) takes k-2 whole-row multiplies per
-side, with no padding entry.  The products land in an edge-major buffer,
-so bincount sums each vertex's terms edge by edge.  Each graph keeps its
-own enclosure, the min and max of its own quotients z_i/x_i^{k-1}, and
-retires when that enclosure is narrower than the tolerance; a mask over
-the batch then compacts it, the edge columns and vertex entries of the
-graphs left re-offset rather than rebuilt, and their momentum state (the
-log iterate, t and the last width) taken with them.  Every operation on
-a graph's entries is the one a one-graph loop would do, in the same
-order, so a result does not depend on the batch it ran in.
-spectral_radii_tensor batches a list by shape, and spectral_radius_tensor
-is the batch of one.
+flat entry v*B + b, one bincount sums every graph's quotient terms at
+once, and a graph's min and max run across the batch.  The edges are
+stored by column, row j of a (k, B*m) array holding slot j of every edge,
+so each step of the exponent is one whole-row operation, and bincount
+sums each vertex's terms slot row by slot row.  Each graph keeps its own
+enclosure, the min and max of its own quotients plus s, and retires when
+that enclosure is narrower than the tolerance; a mask over the batch
+then compacts it, the edge columns of the graphs left re-offset rather
+than rebuilt, and their momentum state (the log iterate, t and the last
+width) taken with them.  Every operation on a graph's entries is the one
+a one-graph loop would do, in the same order, so a result does not
+depend on the batch it ran in.  spectral_radii_tensor batches a list by
+shape, and spectral_radius_tensor is the batch of one; apply_adjacency,
+whose x may be any real vector, keeps the direct product of the other
+entries at each slot.
 """
 
 from __future__ import annotations
@@ -126,23 +139,23 @@ class SpectralResult:
         return out
 
 
-def _edge_columns(edge_lists, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _edge_columns(edge_lists, n: int) -> np.ndarray:
     """For a (B, m, k) batch of edge lists on n vertices, with graph b's
     vertex v at flat entry v*B + b: the (k, B*m) columns, row j holding slot
-    j of every edge, and the (B*m*k,) vertex entries edge by edge."""
+    j of every edge and graph b's edges in columns b*m .. b*m + m - 1."""
     idx = np.asarray(edge_lists, dtype=np.intp)
     b, m, k = idx.shape
     flat = (idx * b + np.arange(b)[:, None, None]).reshape(b * m, k)
-    return np.ascontiguousarray(flat.T), flat.ravel()
+    return np.ascontiguousarray(flat.T)
 
 
-def _adjacency_product(cols: np.ndarray, slots: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _adjacency_product(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x^{k-1} on _edge_columns arrays and the flat vector x: per edge and
     slot, the prefix product before the slot times the suffix product after
     it, summed onto the slot's vertex edge by edge."""
     k = cols.shape[0]
     g = x[cols]  # row j: the entry at slot j of every edge
-    excl = np.empty(cols.shape[::-1])  # edge-major, like slots
+    excl = np.empty(cols.shape[::-1])  # edge-major
     excl[:, 1] = pre = g[0]
     for j in range(2, k):
         pre = pre * g[j - 1]  # x_0 ... x_{j-1}
@@ -152,7 +165,27 @@ def _adjacency_product(cols: np.ndarray, slots: np.ndarray, x: np.ndarray) -> np
         excl[:, j] *= suf
         suf = suf * g[j]  # x_j ... x_{k-1}
     excl[:, 0] = suf
-    return np.bincount(slots, weights=excl.ravel(), minlength=x.shape[0])
+    return np.bincount(cols.T.ravel(), weights=excl.ravel(), minlength=x.shape[0])
+
+
+def _log_quotients(cols: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(A x^{k-1})_i / x_i^{k-1} at x = exp(v), from the log point v (flat)
+    alone.  At slot i of an edge the term is exp(sum_{j != i} (v_j - v_i)),
+    taken as d - k w_i with w_j = v_j - v_0 and d = sum_j w_j, so every
+    exponent is built from differences within one edge and no power of x
+    is ever formed; the terms are summed onto their vertices slot row by
+    slot row."""
+    k = cols.shape[0]
+    g = v.take(cols)  # row j: the log entry at slot j of every edge
+    d, w = g[0], g[1:]  # d becomes slot 0's exponent
+    w -= d
+    np.copyto(d, w[0])
+    for row in w[1:]:
+        d += row
+    w *= -k
+    w += d
+    np.exp(g, out=g)
+    return np.bincount(cols.ravel(), weights=g.ravel(), minlength=v.shape[0])
 
 
 def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
@@ -162,7 +195,7 @@ def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
         raise ValueError(f"vector length {x.shape} does not match n={h.n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("vector entries must be finite")
-    return _adjacency_product(*_edge_columns([h.edges], h.n), x)
+    return _adjacency_product(_edge_columns([h.edges], h.n), x)
 
 
 def rayleigh(h: Hypergraph, x) -> float:
@@ -225,47 +258,52 @@ def _iterate(
     hi_max = _SHIFT * (1.0 + 4.0 / gain) if gain > 0 else math.inf
     out: list[SpectralResult | None] = [None] * len(hs)
     rows = np.arange(len(hs))  # batch column -> index into hs
-    cols, slots = _edge_columns([h.edges for h in hs], n)
+    cols = _edge_columns([h.edges for h in hs], n)
     u = u_prev = np.zeros((n, len(hs)))  # log of the iterate, one column per graph
     t = np.zeros(len(hs))  # per graph: sweeps since its last restart
     width = np.full(len(hs), np.inf)  # per graph: its last enclosure width
     for it in range(1, opts.max_iterations + 1):
-        xv = u - u_prev  # the point u + c (u - u_prev), c = t/(t+3)
-        xv *= t / (t + 3.0)
-        xv += u
-        xv -= np.maximum.reduce(xv)
-        np.exp(xv, out=xv)
-        xk = xv ** power
-        y = _adjacency_product(cols, slots, xv.ravel()).reshape(xv.shape)
-        z = y + xk  # _SHIFT * xk is xk exactly
-        ratios = z / xk
-        lo = np.minimum.reduce(ratios)  # per column: each graph's own
-        hi = np.maximum.reduce(ratios)
+        if np.count_nonzero(t):
+            v = u - u_prev  # the point u + c (u - u_prev), c = t/(t+3)
+            v *= t / (t + 3.0)
+            v += u
+        else:  # c = 0 everywhere, and u - u_prev is finite: v is u
+            v = u
+        q = _log_quotients(cols, v.ravel()).reshape(v.shape)
+        lo = np.minimum.reduce(q)  # per column: each graph's own
+        hi = np.maximum.reduce(q)
+        lo += _SHIFT
+        hi += _SHIFT
         w = hi - lo
         done = w < opts.tolerance
         if np.count_nonzero(done):
             for j in np.flatnonzero(done).tolist():
                 rho = float(0.5 * (lo[j] + hi[j]) - _SHIFT)
+                x = np.exp(v[:, j] - v[:, j].max())
+                xk = x ** power
                 out[rows[j]] = SpectralResult(
                     rho=rho,
-                    perron=tuple(xv[:, j].tolist()),
-                    residual=float(np.abs(y[:, j] - rho * xk[:, j]).max()),
+                    perron=tuple(x.tolist()),
+                    residual=float(np.abs(q[:, j] * xk - rho * xk).max()),
                     iterations=it,
                     method="tensor-power",
                 )
             keep = ~done
             if not np.count_nonzero(keep):
                 return out
-            cols, slots = _compact(cols, keep)
+            cols = _compact(cols, keep)
             rows, hi, w, t, width = rows[keep], hi[keep], w[keep], t[keep], width[keep]
-            z, u = np.compress(keep, z, axis=1), np.compress(keep, u, axis=1)
+            q, v, u = (np.compress(keep, a, axis=1) for a in (q, v, u))
         # restart where the enclosure widened, or where hi - s, an upper
         # bound on rho, leaves momentum not provably stable
         restart = (w > width) | (hi > hi_max)
         t = np.where(restart, 0.0, t + 1.0)
         width = w
-        u_prev, u = u, np.log(z)
-        u /= power
+        # x^{k-1} (q + s) is the shifted product z, so log(z)/(k-1) is
+        # v + log1p(q)/(k-1) (s = 1)
+        u_prev, u = u, np.log1p(q)
+        u *= 1.0 / power  # a multiply: a divide costs three times as much
+        u += v
         u -= np.maximum.reduce(u)
     raise ConvergenceError(
         f"tensor iteration did not reach tolerance {opts.tolerance} in "
@@ -274,8 +312,8 @@ def _iterate(
     )
 
 
-def _compact(cols: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The _edge_columns arrays of the graphs where keep is set, taken from
+def _compact(cols: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The _edge_columns array of the graphs where keep is set, taken from
     cols by the mask and re-offset, not rebuilt: entry v*B + b of a kept
     graph b becomes v*live + (the kept graphs before b)."""
     k, b = cols.shape[0], keep.size
@@ -284,8 +322,7 @@ def _compact(cols: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray
     kept //= b  # the vertex v
     kept *= live
     kept += np.arange(live)[:, None]
-    cols = kept.reshape(k, -1)
-    return cols, cols.T.ravel()
+    return kept.reshape(k, -1)
 
 
 def spectral_radius_power_formula(

@@ -1,6 +1,6 @@
 """Test-only utilities: brute-force isomorphism, relabeling, random
-linear unicyclic hypergraphs, the exact alpha of P and O and a reference
-adjacency product."""
+linear unicyclic hypergraphs, the exact alpha of P and O, a reference
+adjacency product and its log-domain quotients."""
 
 import numpy as np
 
@@ -52,6 +52,23 @@ def reference_product(h, x):
     if h.k > 2:
         excl[:, 1:-1] = pre[:, :-2] * suf[:, 2:]
     return np.bincount(idx.ravel(), weights=excl.ravel(), minlength=h.n)
+
+
+def reference_log_quotients(h, v):
+    """(A x^{k-1})_i / x_i^{k-1} at x = exp(v), read off the edge list
+    instead of the kernel's column rows: per edge, w_j = v_j - v_0 and
+    d = w_1 + ... + w_{k-1}, and slot i's term is exp(d - k w_i) (w_0 = 0);
+    the terms are summed slot by slot, as the kernel sums them."""
+    idx = np.asarray(h.edges, dtype=np.intp)
+    big = v[idx]
+    w = big[:, 1:] - big[:, :1]
+    d = w[:, 0].copy()
+    for j in range(1, h.k - 1):
+        d += w[:, j]
+    expo = np.empty_like(big)
+    expo[:, 0] = d
+    expo[:, 1:] = d[:, None] - h.k * w
+    return np.bincount(idx.T.ravel(), weights=np.exp(expo).T.ravel(), minlength=h.n)
 
 
 def brute_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:

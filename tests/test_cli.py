@@ -130,6 +130,10 @@ BAD_FILES = {
     "text_k1": "1 1\n0",
     # well-formed, but refused by the commands that read them below
     "two_edges": "3 2\n0 1 2\n2 3 4",
+    # a triangle with a 2 340-edge hanging path: the Perron entries fall by
+    # about 0.14 decades an edge, below 5e-324 at the path's far end
+    "triangle_path": "3 2343\n0 1 3\n1 2 4\n0 2 5\n" + "\n".join(
+        f"{0 if i == 0 else 5 + 2 * i} {6 + 2 * i} {7 + 2 * i}" for i in range(2340)),
     "simple_edge": "2 1\n0 1",
 }
 
@@ -196,6 +200,8 @@ BAD_FILES = {
         (("rho", "{q6}", "--method", "alpha", "--perron"), 2, "--perron needs --method tensor"),
         (("rho", "{q6}", "--method", "power-formula", "--perron"), 2,
          "--perron needs --method tensor"),
+        # rho itself converges here, but a printed 0.0 certifies nothing
+        (("rho", "{triangle_path}", "--perron"), 2, "Perron entries lie below the smallest float"),
     ],
     ids=["enumerate-cap", "json-edges-not-a-list", "json-k-float", "json-id-float",
          "json-id-out-of-range", "json-n-string", "json-id-bool", "json-id-negative",
@@ -209,7 +215,7 @@ BAD_FILES = {
          "move-two-fields", "move-target-out-of-range", "move-edge-out-of-range",
          "yss-edge-out-of-range", "relocate-k-mismatch", "alpha-emit-o-m-2",
          "alpha-emit-q-m-3", "alpha-emit-alpha-outside", "alpha-emit-m-above-bound",
-         "power-formula-k-2", "perron-alpha", "perron-power-formula"],
+         "power-formula-k-2", "perron-alpha", "perron-power-formula", "perron-underflow"],
 )
 def test_error_exit_codes(tmp_path, capsys, argv, expected, message):
     paths = {}

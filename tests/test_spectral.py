@@ -30,7 +30,7 @@ from hyperspec import (
 )
 from hyperspec.spectral import _SHIFT
 
-from helpers import random_unicyclic, reference_product
+from helpers import random_unicyclic, reference_log_quotients, reference_product
 
 RHO_PAW = 2.170086486626034  # root of det(x*I - A) for the triangle-plus-leaf graph
 
@@ -267,35 +267,35 @@ def test_rayleigh_dimension_mismatch():
 def serial_reference(h, opts=IterationOptions()):
     """The one-graph iteration loop, kept as the reference that the batched
     kernel must match exactly: the same operations on one graph at a time.
-    The iterate is held as u = log x; each sweep applies the product at the
-    momentum point u + c (u - u_prev), c = t/(t+3), and sets t = 0 where the
-    enclosure widened or hi - s is too large for momentum to be stable."""
+    The iterate is held as u = log x; each sweep takes the quotients
+    q = A x^{k-1} / x^{k-1} at the momentum point v = u + c (u - u_prev),
+    c = t/(t+3), from v alone, steps to v + log1p(q)/(k-1), and sets t = 0
+    where the enclosure widened or hi - s is too large for momentum to be
+    stable."""
     power = h.k - 1
     gain = 3.0 / power - 1.0
     hi_max = _SHIFT * (1.0 + 4.0 / gain) if gain > 0 else math.inf
     u = u_prev = np.zeros(h.n)
     t, width = 0.0, math.inf
     for it in range(1, opts.max_iterations + 1):
-        v = (u - u_prev) * (t / (t + 3.0)) + u
-        x = np.exp(v - v.max())
-        xk = x ** power
-        y = reference_product(h, x)
-        z = y + _SHIFT * xk
-        ratios = z / xk
-        lo, hi = float(ratios.min()), float(ratios.max())
+        v = (u - u_prev) * (t / (t + 3.0)) + u if t else u
+        q = reference_log_quotients(h, v)
+        lo, hi = float(q.min()) + _SHIFT, float(q.max()) + _SHIFT
         if hi - lo < opts.tolerance:
             rho = 0.5 * (lo + hi) - _SHIFT
+            x = np.exp(v - v.max())
+            xk = x ** power
             return SpectralResult(
                 rho=rho,
-                perron=tuple(float(v) for v in x),
-                residual=float(np.abs(y - rho * xk).max()),
+                perron=tuple(float(a) for a in x),
+                residual=float(np.abs(q * xk - rho * xk).max()),
                 iterations=it,
                 method="tensor-power",
             )
         restart = hi - lo > width or hi > hi_max
         t = 0.0 if restart else t + 1.0
         width = hi - lo
-        u_prev, u = u, np.log(z) / power
+        u_prev, u = u, np.log1p(q) * (1.0 / power) + v
         u = u - u.max()
     raise AssertionError("reference loop did not converge")
 
@@ -424,5 +424,16 @@ def test_long_cycle_with_pendants_converges(seed):
     iteration left seed 7 at an enclosure 1.0e-3 wide after 100 000 sweeps
     and took 30 817 on seed 400."""
     h = random_unicyclic(3, 440, np.random.default_rng(seed), g=400)
+    res = spectral_radius_tensor(h)
+    assert res.rho == pytest.approx(spectral_radius_alpha(h).rho, rel=1e-11, abs=0)
+
+
+def test_long_hanging_path_converges():
+    """A k = 3 triangle with a 1 500-edge hanging path: its far Perron
+    entries are near 1e-210, so x^{k-1} and the products of the other
+    entries underflow, and a kernel that forms them stays at an enclosure
+    1.0 wide; the quotients taken from the log point converge."""
+    path = [[0 if i == 0 else 5 + 2 * i, 6 + 2 * i, 7 + 2 * i] for i in range(1500)]
+    h = make_hypergraph(3, [[0, 1, 3], [1, 2, 4], [0, 2, 5], *path])
     res = spectral_radius_tensor(h)
     assert res.rho == pytest.approx(spectral_radius_alpha(h).rho, rel=1e-11, abs=0)
