@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .canonical import read_beads
 from .families import family_o_with_roles, family_p_with_roles, family_q_with_roles
 from .hypergraph import Hypergraph, unique_cycle
 from .spectral import SpectralResult
@@ -219,7 +218,7 @@ def solve_alpha(h: Hypergraph) -> tuple[float, float]:
     is not, and no float lies between them; rho(h) = alpha^(-1/k) (Lu & Man
     2016).  Raises ValueError unless h is connected linear unicyclic.
 
-    On read_beads' lists, leaves first, D(tree) sums alpha / prod(1 - D)
+    On the lists of h._peel, leaves first, D(tree) sums alpha / prod(1 - D)
     over the root's branches, the product over the subtrees on a branch's
     other vertices: every tree row then sums to 1 and every tree edge
     multiplies to alpha.  Cycle vertex i keeps d_i = 1 - D(its tree), and
@@ -242,7 +241,7 @@ def solve_alpha(h: Hypergraph) -> tuple[float, float]:
     """
     if not h._linear_unicyclic:
         raise ValueError("the alpha route needs a connected linear unicyclic hypergraph")
-    trees, branches, beads, _ = read_beads(h)
+    trees, branches, beads = h._peel[:3]
     lo, hi = 0.0, 1.0
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         lo, hi = (mid, hi) if _feasible(mid, trees, branches, beads) else (lo, mid)

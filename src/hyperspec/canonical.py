@@ -16,7 +16,7 @@ representative carries its rendered canonical form.  Two readers feed it:
 the enumerator numbers its trees, branches and beads itself, and
 canonicalize() takes them from read_beads(), the lists the peel in
 `hypergraph.py` numbers as it strips the leaves, once per hypergraph and
-cached on it; the alpha route reads the same lists.
+cached on it; the alpha route reads the same cached lists off the peel.
 
 Children with equal codes carry isomorphic subtrees and rotations with
 equal code sequences are automorphisms, so every tie-break yields the same
@@ -45,11 +45,12 @@ def canonicalize(h: Hypergraph) -> Hypergraph:
 
 
 def read_beads(h: Hypergraph) -> tuple[list, list, list, list]:
-    """BeadReader's (trees, branches, beads, center) for h, from the peel in
-    `hypergraph.py`, leaves first; the lists are cached on h and shared
-    with the alpha route, so they must not be changed.  A hypertree has no
-    beads, and its center is the tree at its center vertex or the k on its
-    center edge; a cycle has no center."""
+    """canonicalize's reader: BeadReader's (trees, branches, beads, center)
+    for h, from the peel in `hypergraph.py`, leaves first, after checking
+    that h is in the canonical code's domain.  The lists are cached on h,
+    and the alpha route takes them off the peel directly, so they must not
+    be changed.  A hypertree has no beads, and its center is the tree at its
+    center vertex or the k on its center edge; a cycle has no center."""
     if not h.is_connected:
         raise ValueError("canonical code needs a connected hypergraph")
     if h._cycle_rank > 1:

@@ -178,6 +178,9 @@ def _cmd_rho(args) -> int:
         raise ValueError(f"--perron needs --method tensor (got --method {args.method})")
     h = load_hypergraph(args.input)
     opts = _iter_options(args)
+    if args.method == "alpha" and opts != IterationOptions():  # the labeling runs no iteration
+        raise ValueError("--tol and --max-iter need --method tensor or power-formula "
+                         "(got --method alpha)")
     if args.method == "tensor":
         res = spectral_radius_tensor(h, opts)
         if args.perron and 0.0 in res.perron:
@@ -201,6 +204,8 @@ def _cmd_alpha(args) -> int:
         fn, takes_r = _SCALARS[args.fn], args.fn in ("f_P", "f_O")
         if takes_r and args.r is None:
             raise ValueError(f"{args.fn} needs --r")
+        if not takes_r and args.r is not None:
+            raise ValueError(f"{args.fn} takes no --r")
         sys.stdout.write(_fmt(fn(args.alpha, args.r) if takes_r else fn(args.alpha)) + "\n")
         return 0
     if args.action == "solve":  # builds the member and bisects over it: time linear in r
@@ -255,6 +260,8 @@ def _cmd_transform(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     opts = _iter_options(args)
+    if not args.with_rho and opts != IterationOptions():  # no radius, so no iteration
+        raise ValueError("--tol and --max-iter need --with-rho")
     pool = enumerate_linear_unicyclic(args.k, args.m, cap=args.cap)
     results = spectral_radii_tensor(pool, opts) if args.with_rho else None
     lines = []

@@ -1,16 +1,17 @@
-"""Spectral-radius-increasing rewiring operations.
+"""Spectral-radius-increasing rewiring: one edge move, chosen two ways.
 
-Three operations, each validated structurally before being applied:
-
-* move_edges: detach a set of edges from chosen member vertices and
-  re-anchor them all at one target vertex (increases the radius whenever
-  the target's Perron weight dominates the detached vertices');
-* relocate: identify a rooted hypergraph with one of two marked vertices
-  of another, returning both identification results for comparison;
-* yss_move: for two edges overlapping in k-r vertices whose remaining
-  vertices are pendant except one on each side, re-anchor everything at
-  the non-pendant vertex of the second edge onto a pendant vertex of the
-  first (increases the radius unconditionally).
+* move_edges detaches edges from member vertices and re-anchors them all
+  at one target vertex.  When the target's Perron entry is at least that
+  of every detached vertex and the result is connected, the spectral
+  radius strictly rises (edge-moving lemma, Li, Shao & Qi 2016).
+* relocate glues a rooted hypergraph at v2, then moves its root edges
+  from v2 to v1: by the same lemma, the gluing at the vertex with the
+  larger Perron entry has the larger radius.
+* yss_move takes two edges overlapping in k-r vertices whose remaining
+  vertices are pendant except one on each side, and moves every other edge
+  at the non-pendant vertex of the second edge onto a pendant vertex of
+  the first: the radius rises with no Perron condition (Yuan, Shao & Shan
+  2016).
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ class MoveResult(NamedTuple):
 def move_edges(h: Hypergraph, moves: list[EdgeMove]) -> MoveResult:
     """Apply edge moves sharing a single target vertex.
 
-    Vertices orphaned by the moves are compacted away; the returned map
-    records surviving ids.  Raises ValueError when a move references a
-    vertex outside/inside the wrong edge; a result with a duplicate edge is
-    refused by Hypergraph, which names that edge in the surviving ids.
+    Vertices orphaned by the moves are compacted away by make_hypergraph;
+    the returned map records surviving ids.  Raises ValueError when a move
+    references a vertex outside/inside the wrong edge; a result with a
+    duplicate edge is refused by Hypergraph, which names that edge in the
+    surviving ids.
     """
     if not moves:
         raise ValueError("no moves given")
@@ -67,10 +69,8 @@ def move_edges(h: Hypergraph, moves: list[EdgeMove]) -> MoveResult:
         if u in e:
             raise ValueError(f"target vertex {u} already in edge {mv.edge}")
         new_edges[mv.edge] = (e - {mv.src}) | {u}
-    used = sorted(set().union(*new_edges))
-    vmap = {v: i for i, v in enumerate(used)}
-    out = make_hypergraph(h.k, [[vmap[v] for v in e] for e in new_edges])
-    return MoveResult(hypergraph=out, vertex_map=vmap)
+    vmap = {v: i for i, v in enumerate(sorted(set().union(*new_edges)))}
+    return MoveResult(hypergraph=make_hypergraph(h.k, new_edges), vertex_map=vmap)
 
 
 def relocate(
@@ -84,7 +84,8 @@ def relocate(
 
     Both results share a vertex numbering: g1 keeps its ids and the
     non-root vertices of g2 are appended in order, so Perron entries at v1
-    and v2 are directly comparable across the pair.
+    and v2 are directly comparable across the pair.  The second is the
+    first with g2's root edges (its edges at u) moved from v2 to v1.
     """
     if g1.k != g2.k:
         raise ValueError("uniformity mismatch")
@@ -95,16 +96,11 @@ def relocate(
             raise ValueError(f"vertex {v} out of range for the host hypergraph")
     if not 0 <= u < g2.n:
         raise ValueError(f"root {u} out of range for the attached hypergraph")
-    others = [v for v in range(g2.n) if v != u]
-    offset = {v: g1.n + i for i, v in enumerate(others)}
-
-    def glue(at: int) -> Hypergraph:
-        remap = dict(offset)
-        remap[u] = at
-        edges = list(g1.edges) + [tuple(sorted(remap[v] for v in e)) for e in g2.edges]
-        return make_hypergraph(g1.k, edges)
-
-    return glue(v2), glue(v1)
+    attached = [[v2 if v == u else g1.n + v - (v > u) for v in e] for e in g2.edges]
+    glued = make_hypergraph(g1.k, list(g1.edges) + attached)
+    # g2's edges are the ones holding an appended id, its largest after sorting
+    roots = [j for j in glued.incidence[v2] if glued.edges[j][-1] >= g1.n]
+    return glued, move_edges(glued, [EdgeMove(edge=j, src=v2, dst=v1) for j in roots]).hypergraph
 
 
 def _yss_sides(h: Hypergraph, e_idx: int, f_idx: int) -> tuple[int, int]:
@@ -147,10 +143,5 @@ def yss_move(h: Hypergraph, e_idx: int, f_idx: int) -> Hypergraph:
     onto a pendant vertex of e.  Preconditions are validated structurally;
     the failing clause is reported."""
     u2, v1 = _yss_sides(h, e_idx, f_idx)
-    edges = []
-    for j, edge in enumerate(h.edges):
-        if j != f_idx and v1 in edge:
-            edges.append((set(edge) - {v1}) | {u2})
-        else:
-            edges.append(edge)
-    return make_hypergraph(h.k, edges)
+    moves = [EdgeMove(edge=j, src=v1, dst=u2) for j in h.incidence[v1] if j != f_idx]
+    return move_edges(h, moves).hypergraph

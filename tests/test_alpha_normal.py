@@ -232,6 +232,17 @@ def test_q_certificate_places_q_above_p():
     assert rho_q > bound + 1e-6
 
 
+@pytest.mark.parametrize("k", range(3, 9))
+def test_q_slack_certificate_is_strict_across_the_verify_domain(k):
+    """The paper's certificate of rho(Q_m) > rho(P_m): Q's slack labeling at
+    P's exact alpha is strictly supernormal wherever verify runs.  verify's
+    Q-above-alpha-bound claim compares radii, so this reads the labeling."""
+    for m in range(5, 17):
+        alpha = solve_alpha(family(FamilySpec(tag="P", k=k, m=m)))[0]
+        report = check_normal(build_B_Q_supernormal(m, k, alpha), alpha)
+        assert report.mode == "supernormal-strict", (k, m)
+
+
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("m", [5, 7, 9])
 def test_certification_p_and_o(k, m):

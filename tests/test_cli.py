@@ -202,6 +202,19 @@ BAD_FILES = {
          "--perron needs --method tensor"),
         # rho itself converges here, but a printed 0.0 certifies nothing
         (("rho", "{triangle_path}", "--perron"), 2, "Perron entries lie below the smallest float"),
+        # flags that would change nothing: the alpha route, a pool without radii
+        # and the scalar functions without a pendant count run no iteration or r
+        (("rho", "{q6}", "--method", "alpha", "--tol", "1e-6"), 2,
+         "--tol and --max-iter need --method tensor or power-formula"),
+        (("rho", "{q6}", "--method", "alpha", "--max-iter", "5"), 2,
+         "--tol and --max-iter need --method tensor or power-formula"),
+        (("enumerate", "--k", "3", "--m", "5", "--tol", "1e-6"), 2,
+         "--tol and --max-iter need --with-rho"),
+        (("enumerate", "--k", "3", "--m", "5", "--max-iter", "5"), 2,
+         "--tol and --max-iter need --with-rho"),
+        (("alpha", "eval", "--fn", "gamma", "--alpha", "0.2", "--r", "1"), 2, "gamma takes no --r"),
+        (("alpha", "eval", "--fn", "phi", "--alpha", "0.2", "--r", "1"), 2, "phi takes no --r"),
+        (("alpha", "eval", "--fn", "psi", "--alpha", "0.2", "--r", "1"), 2, "psi takes no --r"),
     ],
     ids=["enumerate-cap", "json-edges-not-a-list", "json-k-float", "json-id-float",
          "json-id-out-of-range", "json-n-string", "json-id-bool", "json-id-negative",
@@ -215,7 +228,9 @@ BAD_FILES = {
          "move-two-fields", "move-target-out-of-range", "move-edge-out-of-range",
          "yss-edge-out-of-range", "relocate-k-mismatch", "alpha-emit-o-m-2",
          "alpha-emit-q-m-3", "alpha-emit-alpha-outside", "alpha-emit-m-above-bound",
-         "power-formula-k-2", "perron-alpha", "perron-power-formula", "perron-underflow"],
+         "power-formula-k-2", "perron-alpha", "perron-power-formula", "perron-underflow",
+         "alpha-method-tol", "alpha-method-max-iter", "enumerate-tol-without-rho",
+         "enumerate-max-iter-without-rho", "eval-gamma-r", "eval-phi-r", "eval-psi-r"],
 )
 def test_error_exit_codes(tmp_path, capsys, argv, expected, message):
     paths = {}
