@@ -9,10 +9,12 @@ incident vertex-edge pair.  For a connected k-uniform hypergraph:
 * if row sums are >= 1 and edge products <= alpha, consistently and with
   some strict slack, the spectral radius strictly exceeds alpha^(-1/k).
 
-solve_alpha bisects for the exact alpha of any connected linear unicyclic
-hypergraph, and spectral_radius_alpha turns it into rho.  Here too: the
-verifier, the exact labelings of P_m and O_m (normal where f_P or f_O is
-1), and a slack labeling of Q_m certifying rho(Q_m) > rho(P_m).
+solve_alpha brackets the exact alpha of any connected linear unicyclic
+hypergraph between two adjacent floats, by false position on the cycle's
+scaled discriminant with a bisection fallback, and spectral_radius_alpha
+turns it into rho.  Here too: the verifier, the exact labelings of P_m and
+O_m (normal where f_P or f_O is 1), and a slack labeling of Q_m certifying
+rho(Q_m) > rho(P_m).
 """
 
 from __future__ import annotations
@@ -238,24 +240,56 @@ def solve_alpha(h: Hypergraph) -> tuple[float, float]:
     consistent, strictly subnormal (vertex 0's row is 1 - F(x_0) + x_0), so
     rho < alpha^(-1/k).  D grows with alpha, so F falls pointwise and
     smaller alphas stay feasible; the fixed points merge at the exact alpha.
+
+    The search keeps that bracket and shrinks it by Illinois false position
+    (Dowell & Jarratt 1971) on the scaled discriminant
+    z = (tr(M)^2 - 4 det M) / (tr(M)^2 + 4 det M), which _feasible returns
+    with its verdict: z lies in (-1, 1], is positive on the feasible side
+    and crosses 0 at the exact alpha.  The first test is at
+    min(1/4, 1/Delta), Delta the largest degree, which the exact alpha never
+    exceeds (rho is at least the Delta-edge star's Delta^(1/k) and the
+    cycle's 4^(1/k)).  Each later test is the secant root of z between the
+    ends, moved to the nearest float inside the bracket if it rounds onto an
+    end, or the midpoint when hi has no negative z (where a slack or tr M
+    is not positive, z is None).  An end kept twice in a row has its z
+    halved, so the other end moves too.  Only _feasible decides which end
+    a test replaces.
     """
     if not h._linear_unicyclic:
         raise ValueError("the alpha route needs a connected linear unicyclic hypergraph")
     trees, branches, beads = h._peel[:3]
-    lo, hi = 0.0, 1.0
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        lo, hi = (mid, hi) if _feasible(mid, trees, branches, beads) else (lo, mid)
-    return lo, hi
+    lo, hi, z_lo, z_hi, kept = 0.0, 1.0, 1.0, None, None  # z(0) = 1: every c_i is 0
+    x = min(0.25, 1.0 / max(h.degrees))
+    while True:
+        ok, z = _feasible(x, trees, branches, beads)
+        if ok:
+            lo, z_lo = x, z
+            if kept == "hi" and z_hi is not None:
+                z_hi *= 0.5
+            kept = "hi"
+        else:
+            hi, z_hi = x, z
+            if kept == "lo":
+                z_lo *= 0.5
+            kept = "lo"
+        if (mid := 0.5 * (lo + hi)) in (lo, hi):
+            return lo, hi
+        x = mid
+        if z_hi is not None and z_hi < 0:  # z_lo > 0 always: feasible means tr^2 > 4 det
+            x = lo + (hi - lo) * (z_lo / (z_lo - z_hi))
+            x = min(max(x, math.nextafter(lo, 1.0)), math.nextafter(hi, 0.0))
 
 
-def _feasible(alpha: float, trees: list, branches: list, beads: list) -> bool:
-    """solve_alpha's test at one alpha, in floats."""
+def _feasible(alpha: float, trees: list, branches: list,
+              beads: list) -> tuple[bool, float | None]:
+    """solve_alpha's test at one alpha, in floats, and its scaled
+    discriminant z, or None where a slack or tr M is not positive."""
     slack = [1.0] * len(trees)  # 1 - D(tree t), subtrees first
     for t, parts in enumerate(trees):
         for b in parts:
             slack[t] -= alpha / math.prod([slack[c] for c in branches[b]])
         if not slack[t] > 0:
-            return False
+            return False, None
     d = [slack[v] for v, _ in beads[1:] + beads[:1]]  # d_{i+1}
     c = [alpha / math.prod([slack[t] for t in side]) for _, side in beads]
     a, b, p, q, det = 1.0, 0.0, 0.0, 1.0, 1.0  # M / s = [[a, b], [p, q]], det(M / s)
@@ -264,15 +298,18 @@ def _feasible(alpha: float, trees: list, branches: list, beads: list) -> bool:
         s = max(abs(a), abs(b), abs(p), abs(q))
         a, b, p, q, det = a / s, b / s, p / s, q / s, det * ci / s / s
     tr = a + q
+    if not tr > 0:
+        return False, None
     disc = tr * tr - 4.0 * det
-    if not (tr > 0 and disc > 0 and p > 0):
-        return False
+    z = disc / (tr * tr + 4.0 * det)
+    if not (disc > 0 and p > 0):
+        return False, z
     x = (0.5 * (tr + math.sqrt(disc)) - q) / p  # the attracting fixed point
     for di, ci in zip(d, c):
         if not x > 0:
-            return False
+            return False, z
         x = di - ci / x
-    return True
+    return True, z
 
 
 def spectral_radius_alpha(h: Hypergraph) -> SpectralResult:

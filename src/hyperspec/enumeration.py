@@ -435,7 +435,7 @@ def verify_suite(
         ("S-girth-monotone", "star-on-cycle powers lose spectral radius as the girth grows",
          4, girth_steps),
         ("Q-above-alpha-bound",
-         "rho(Q) strictly exceeds the exact alpha value of P (slack certificate)",
+         "rho(Q) by the tensor route strictly exceeds P's exact alpha radius",
          5, lambda m: [("", ("alpha-bound", m, None), member("Q", m))]),
         ("T1-second-in-family-pool",
          "among the named families, T1 is strictly second behind S(m,3)",

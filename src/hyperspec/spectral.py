@@ -47,7 +47,10 @@ entries is formed, so nothing underflows however small the Perron
 entries are: a hanging path whose far entries lie below 1e-308 converges
 like any other input, and only its printed vector loses those entries.
 The Perron vector exp(v), normalised to unit maximum, and the residual
-are formed only when a graph retires.  What is left is the rounding of v
+are formed only when a graph retires, and the graph retires only if that
+rounded vector's own enclosure, from its products, is narrower than the
+tolerance too (where x^{k-1} stays in the normal range); otherwise it
+runs another sweep.  What is left is the rounding of v
 itself: an entry near -700 carries an ulp of 1.1e-13, and k such errors
 in an exponent bound how narrow the enclosure can get there.
 
@@ -249,8 +252,9 @@ def _iterate(
     shape, from the all-ones vector; labels name the inputs in a
     ConvergenceError.
 
-    A graph retires when its own enclosure is narrower than the tolerance,
-    and the batch is then compacted, so a converged graph costs nothing.
+    A graph retires when its own enclosure, and that of the vector it
+    returns, is narrower than the tolerance, and the batch is then
+    compacted, so a converged graph costs nothing.
     """
     n, power = hs[0].n, hs[0].k - 1
     # momentum is stable while 4 s >= gain * rho, tested as hi <= hi_max
@@ -277,9 +281,10 @@ def _iterate(
         w = hi - lo
         done = w < opts.tolerance
         if np.count_nonzero(done):
-            for j in np.flatnonzero(done).tolist():
+            done, xs = _returned_vectors(hs, rows, v, done, power, opts.tolerance)
+        if np.count_nonzero(done):
+            for j, x in zip(np.flatnonzero(done).tolist(), xs):
                 rho = float(0.5 * (lo[j] + hi[j]) - _SHIFT)
-                x = np.exp(v[:, j] - v[:, j].max())
                 xk = x ** power
                 out[rows[j]] = SpectralResult(
                     rho=rho,
@@ -310,6 +315,29 @@ def _iterate(
         f"{opts.max_iterations} iterations for input {labels[rows[0]]} "
         f"(enclosure width {width[0]:.3e})"
     )
+
+
+def _returned_vectors(hs, rows, v, done, power, tolerance):
+    """The graphs of done whose returned vector x = exp(v), normalised to
+    unit maximum, holds an enclosure of its own narrower than the
+    tolerance, and their x, one per kept graph in batch order.  Rounding x
+    moves its quotients by a few ulps from the log point's, which can lift
+    an enclosure just under the tolerance over it; such a graph runs
+    another sweep.  Where x^{k-1} leaves the normal range, x cannot carry
+    its own enclosure, and the log point's stands."""
+    idx = np.flatnonzero(done)
+    sub = v[:, idx]
+    x = np.exp(sub - np.maximum.reduce(sub))
+    xk = x ** power
+    z = _adjacency_product(_edge_columns([hs[rows[j]].edges for j in idx], v.shape[0]),
+                           x.ravel()).reshape(x.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # x^{k-1} may be 0
+        ratios = (z + _SHIFT * xk) / xk
+    width = np.maximum.reduce(ratios) - np.minimum.reduce(ratios)
+    ok = (width < tolerance) | (np.minimum.reduce(xk) < np.finfo(float).tiny)
+    done = done.copy()
+    done[idx[~ok]] = False
+    return done, [x[:, i] for i in np.flatnonzero(ok).tolist()]
 
 
 def _compact(cols: np.ndarray, keep: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Test-only utilities: brute-force isomorphism, relabeling, random
-linear unicyclic hypergraphs, the exact alpha of P and O, a reference
-adjacency product and its log-domain quotients."""
+linear unicyclic hypergraphs, the exact alpha of P and O, a bisection
+oracle for the alpha search, a reference adjacency product and its
+log-domain quotients."""
 
 import numpy as np
 
-from hyperspec import FamilySpec, Hypergraph, family, make_hypergraph, solve_alpha
+from hyperspec import FamilySpec, Hypergraph, alpha_normal, family, make_hypergraph, solve_alpha
 
 
 def solve_alpha_P(r: int) -> float:
@@ -16,6 +17,16 @@ def solve_alpha_P(r: int) -> float:
 def solve_alpha_O(r: int) -> float:
     """alpha of O with r pendant edges past its triangle (m = r + 4)."""
     return solve_alpha(family(FamilySpec("O", 3, r + 4)))[0]
+
+
+def bisect_alpha(h: Hypergraph) -> tuple[float, float]:
+    """solve_alpha's bracket by plain bisection of [0, 1] on the same
+    feasibility test, until the midpoint equals an end."""
+    peel = h._peel[:3]
+    lo, hi = 0.0, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if alpha_normal._feasible(mid, *peel)[0] else (lo, mid)
+    return lo, hi
 
 
 def relabel(h: Hypergraph, perm: list[int]) -> Hypergraph:

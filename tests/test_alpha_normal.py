@@ -3,7 +3,7 @@ labelings."""
 
 import numpy as np
 import pytest
-from helpers import random_unicyclic, solve_alpha_O, solve_alpha_P
+from helpers import bisect_alpha, random_unicyclic, solve_alpha_O, solve_alpha_P
 
 from hyperspec import (
     FamilySpec,
@@ -344,7 +344,7 @@ def test_alpha_route_on_random_unicyclic():
 
 def test_alpha_route_on_o_26():
     # f_O is so steep near its pole that a bisection on f_O = 1 missed its
-    # tolerance here; the feasibility bisection has no such tolerance
+    # tolerance here; the feasibility search has no such tolerance
     h = family(FamilySpec("O", 3, 26))
     lo, hi = solve_alpha(h)
     assert hi - lo <= 1e-17
@@ -354,7 +354,7 @@ def test_alpha_route_on_o_26():
 @pytest.mark.parametrize("g", [600, 1000])
 def test_alpha_route_on_long_cycles(g):
     # a pure cycle's entries of M shrink like 2^-g: unscaled, they underflowed
-    # and the bisection stopped short of 1/4
+    # and the search stopped short of 1/4
     h = family(FamilySpec("CyclePower", 3, g, g))
     assert spectral_radius_alpha(h).rho == pytest.approx(4 ** (1 / 3), rel=1e-11)
 
@@ -379,6 +379,40 @@ def test_alpha_route_on_a_long_cycle_with_pendants():
     expected = np.linalg.eigvalsh(adjacency)[-1] ** (2 / 3)
     h = power_hypergraph(make_hypergraph(2, edges), 3)
     assert spectral_radius_alpha(h).rho == pytest.approx(expected, rel=1e-11)
+
+
+def test_alpha_search_evaluation_count(monkeypatch):
+    """Over the 1 044 family members verify reads at k = 3..8, m = 5..16,
+    false position takes about 15 feasibility tests per solve, none more
+    than 23; bisection took 55.  Without the bound on the discriminant, the
+    start at min(1/4, 1/Delta) or the step off the ends, the mean was above
+    17."""
+    hs = []
+    for k in range(3, 9):
+        for m in range(5, 17):
+            hs += [family(FamilySpec("S", k, m, g)) for g in range(3, m + 1)]
+            hs += [family(FamilySpec(tag, k, m)) for tag in ("T1", "O", "T2", "U1", "P", "Q")]
+    assert len(hs) == 1044
+    counts, feasible = [], alpha_normal._feasible
+
+    def counted(*args):
+        counts[-1] += 1
+        return feasible(*args)
+
+    monkeypatch.setattr(alpha_normal, "_feasible", counted)
+    for h in hs:
+        counts.append(0)
+        solve_alpha(h)
+    assert sum(counts) / len(counts) <= 17, sum(counts) / len(counts)
+    assert max(counts) <= 32, max(counts)
+
+
+@pytest.mark.parametrize("g", range(3, 9))
+def test_alpha_search_on_pure_cycles_matches_bisection(g):
+    # alpha = 1/4 exactly, where the discriminant vanishes: a start that
+    # rounds onto the root must not leave the search short of it
+    h = family(FamilySpec("CyclePower", 3, g, g))
+    assert solve_alpha(h) == bisect_alpha(h)
 
 
 def test_alpha_route_at_k_2():

@@ -160,7 +160,7 @@ BAD_FILES = {
         (("alpha", "solve", "--family", "O", "--r", "22"), 0, ""),
         # P_4 would be O_4
         (("alpha", "solve", "--family", "P", "--r", "0"), 2, "P needs m >= 5 (got 4)"),
-        # the member is built and bisected, so the time grows with r
+        # the member is built and searched, so the time grows with r
         (("alpha", "solve", "--family", "O", "--r", "10001"), 2,
          "alpha solve takes --r <= 10000 (got 10001)"),
         (("rank", "--k", "3", "--m", "5", "--max-iter", "3"), 3, "did not reach"),
@@ -212,6 +212,11 @@ BAD_FILES = {
          "--tol and --max-iter need --with-rho"),
         (("enumerate", "--k", "3", "--m", "5", "--max-iter", "5"), 2,
          "--tol and --max-iter need --with-rho"),
+        # a flag given is refused even at its default value
+        (("enumerate", "--k", "3", "--m", "5", "--tol", "1e-12"), 2,
+         "--tol and --max-iter need --with-rho"),
+        (("rho", "{q6}", "--method", "alpha", "--max-iter", "100000"), 2,
+         "--tol and --max-iter need --method tensor or power-formula"),
         (("alpha", "eval", "--fn", "gamma", "--alpha", "0.2", "--r", "1"), 2, "gamma takes no --r"),
         (("alpha", "eval", "--fn", "phi", "--alpha", "0.2", "--r", "1"), 2, "phi takes no --r"),
         (("alpha", "eval", "--fn", "psi", "--alpha", "0.2", "--r", "1"), 2, "psi takes no --r"),
@@ -230,7 +235,8 @@ BAD_FILES = {
          "alpha-emit-q-m-3", "alpha-emit-alpha-outside", "alpha-emit-m-above-bound",
          "power-formula-k-2", "perron-alpha", "perron-power-formula", "perron-underflow",
          "alpha-method-tol", "alpha-method-max-iter", "enumerate-tol-without-rho",
-         "enumerate-max-iter-without-rho", "eval-gamma-r", "eval-phi-r", "eval-psi-r"],
+         "enumerate-max-iter-without-rho", "enumerate-default-tol-without-rho",
+         "alpha-method-default-max-iter", "eval-gamma-r", "eval-phi-r", "eval-psi-r"],
 )
 def test_error_exit_codes(tmp_path, capsys, argv, expected, message):
     paths = {}
@@ -369,7 +375,7 @@ def test_cap_flag_is_gone(capsys, argv):
 
 
 def test_alpha_solve_tol_flag_is_gone(capsys):
-    # the feasibility bisection runs until its bracket is two adjacent floats
+    # the feasibility search runs until its bracket is two adjacent floats
     with pytest.raises(SystemExit) as exc:
         run(["alpha", "solve", "--family", "P", "--r", "2", "--tol", "1e-13"])
     assert exc.value.code == 2

@@ -271,7 +271,9 @@ def serial_reference(h, opts=IterationOptions()):
     q = A x^{k-1} / x^{k-1} at the momentum point v = u + c (u - u_prev),
     c = t/(t+3), from v alone, steps to v + log1p(q)/(k-1), and sets t = 0
     where the enclosure widened or hi - s is too large for momentum to be
-    stable."""
+    stable.  It stops where the enclosure at v and, unless x^{k-1}
+    underflows, the one at the returned x = exp(v) are both narrower than
+    the tolerance."""
     power = h.k - 1
     gain = 3.0 / power - 1.0
     hi_max = _SHIFT * (1.0 + 4.0 / gain) if gain > 0 else math.inf
@@ -282,16 +284,19 @@ def serial_reference(h, opts=IterationOptions()):
         q = reference_log_quotients(h, v)
         lo, hi = float(q.min()) + _SHIFT, float(q.max()) + _SHIFT
         if hi - lo < opts.tolerance:
-            rho = 0.5 * (lo + hi) - _SHIFT
             x = np.exp(v - v.max())
             xk = x ** power
-            return SpectralResult(
-                rho=rho,
-                perron=tuple(float(a) for a in x),
-                residual=float(np.abs(q * xk - rho * xk).max()),
-                iterations=it,
-                method="tensor-power",
-            )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = (reference_product(h, x) + _SHIFT * xk) / xk
+            if ratios.max() - ratios.min() < opts.tolerance or xk.min() < np.finfo(float).tiny:
+                rho = 0.5 * (lo + hi) - _SHIFT
+                return SpectralResult(
+                    rho=rho,
+                    perron=tuple(float(a) for a in x),
+                    residual=float(np.abs(q * xk - rho * xk).max()),
+                    iterations=it,
+                    method="tensor-power",
+                )
         restart = hi - lo > width or hi > hi_max
         t = 0.0 if restart else t + 1.0
         width = hi - lo
@@ -332,6 +337,21 @@ def test_batch_is_bit_identical_to_single_graph_calls(k, m):
     # SpectralResult equality compares rho, perron, residual and iterations with ==
     assert spectral_radii_tensor(pool) == singles
     assert singles == [serial_reference(h) for h in pool]
+
+
+@pytest.mark.parametrize("k,g,m,seed", [(6, 34, 37, 4042048786), (5, 37, 72, 39897165)])
+def test_returned_vector_holds_its_own_enclosure(k, g, m, seed):
+    """Rounding exp(v) moves the quotients a few ulps from the log point's.
+    On these inputs the log enclosure first fell under the tolerance where
+    the returned vector's was 1.0001e-12; the kernel sweeps once more."""
+    h = random_unicyclic(k, m, np.random.default_rng(seed), g=g)
+    res = spectral_radius_tensor(h)
+    x = np.array(res.perron)
+    xk = x ** (k - 1)
+    ratios = (reference_product(h, x) + _SHIFT * xk) / xk
+    assert ratios.max() - ratios.min() < IterationOptions().tolerance
+    assert ratios.min() <= res.rho + _SHIFT <= ratios.max()
+    assert res == serial_reference(h)
 
 
 def test_batch_mixed_shapes_keep_input_order():

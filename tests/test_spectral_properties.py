@@ -1,16 +1,19 @@
 """Property checks of the tensor and alpha routes, and of the canonical
 code, on random linear unicyclic inputs."""
 
+import math
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from helpers import random_unicyclic, reference_product, relabel  # noqa: E402
+from helpers import bisect_alpha, random_unicyclic, reference_product, relabel  # noqa: E402
 
 from hyperspec import (  # noqa: E402
     IterationOptions,
+    alpha_normal,
     canonical_form,
     make_hypergraph,
     solve_alpha,
@@ -22,8 +25,8 @@ from hyperspec.spectral import _SHIFT  # noqa: E402
 
 
 @st.composite
-def unicyclic(draw):
-    k = draw(st.integers(3, 6))
+def unicyclic(draw, k_max=6):
+    k = draw(st.integers(3, k_max))
     g = draw(st.integers(3, 40))
     m = draw(st.integers(g, 80))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -45,6 +48,23 @@ def test_tensor_radius_is_certified_and_matches_alpha(h):
     lo, hi = ratios.min(), ratios.max()
     assert hi - lo < IterationOptions().tolerance
     assert lo <= res.rho + _SHIFT <= hi
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(unicyclic(k_max=8))
+def test_alpha_search_stops_at_a_flip_of_the_feasibility_test(h):
+    """lo passes the float test and hi, the next float up, fails it.  Near
+    alpha the verdict in floats can flip back and forth over a few ulps,
+    more on long cycles (up to 18 ulps at g = 40 over 10 000 random inputs),
+    so plain bisection may stop at another flip: lo stays within max(4, g)
+    ulps of it."""
+    lo, hi = solve_alpha(h)
+    peel = h._peel[:3]
+    assert hi == math.nextafter(lo, 1.0)
+    assert alpha_normal._feasible(lo, *peel)[0]
+    assert not alpha_normal._feasible(hi, *peel)[0]
+    g = len(unique_cycle(h)[1])
+    assert abs(lo - bisect_alpha(h)[0]) <= max(4, g) * (hi - lo)
 
 
 @hypothesis.settings(max_examples=40, deadline=None)
