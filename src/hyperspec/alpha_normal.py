@@ -252,8 +252,12 @@ def solve_alpha(h: Hypergraph) -> tuple[float, float]:
     ends, moved to the nearest float inside the bracket if it rounds onto an
     end, or the midpoint when hi has no negative z (where a slack or tr M
     is not positive, z is None).  An end kept twice in a row has its z
-    halved, so the other end moves too.  Only _feasible decides which end
-    a test replaces.
+    halved, so the other end moves too.  A new hi with z exactly 0, where
+    the last hi's z was not, is followed by a test at the float below it:
+    on a pure cycle the first test lands on alpha = 1/4 exactly, and a zero
+    z gives no secant step.  A z that stays 0 falls back to midpoints, so
+    the search never crawls one float at a time.  Only _feasible decides
+    which end a test replaces.
     """
     if not h._linear_unicyclic:
         raise ValueError("the alpha route needs a connected linear unicyclic hypergraph")
@@ -262,6 +266,7 @@ def solve_alpha(h: Hypergraph) -> tuple[float, float]:
     x = min(0.25, 1.0 / max(h.degrees))
     while True:
         ok, z = _feasible(x, trees, branches, beads)
+        step_down = not ok and z == 0 and z_hi != 0
         if ok:
             lo, z_lo = x, z
             if kept == "hi" and z_hi is not None:
@@ -275,7 +280,9 @@ def solve_alpha(h: Hypergraph) -> tuple[float, float]:
         if (mid := 0.5 * (lo + hi)) in (lo, hi):
             return lo, hi
         x = mid
-        if z_hi is not None and z_hi < 0:  # z_lo > 0 always: feasible means tr^2 > 4 det
+        if step_down:
+            x = math.nextafter(hi, 0.0)
+        elif z_hi is not None and z_hi < 0:  # z_lo > 0 always: feasible means tr^2 > 4 det
             x = lo + (hi - lo) * (z_lo / (z_lo - z_hi))
             x = min(max(x, math.nextafter(lo, 1.0)), math.nextafter(hi, 0.0))
 

@@ -32,6 +32,7 @@ from .alpha_normal import (
 from .canonical import canonical_id
 from .enumeration import (
     DEFAULT_CAP,
+    VERIFY_TOL,
     CapExceededError,
     RankEntry,
     VerificationReport,
@@ -323,7 +324,7 @@ def _verify_table(reports: list[VerificationReport], fmt: str) -> str:
 
 def _cmd_verify(args) -> int:
     m_lo, m_hi = _parse_range(args.m)
-    opts = _iter_options(args, tolerance=1e-10)
+    opts = _iter_options(args, tolerance=VERIFY_TOL)
     reports = verify_suite(args.k, m_lo, m_hi, opts)
     _emit(_verify_table(reports, args.format), args.output)
     return 1 if any(r.verdict == "fail" for r in reports) else 0

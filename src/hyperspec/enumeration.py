@@ -59,11 +59,13 @@ __all__ = [
     "DEFAULT_CAP",
     "CROSS_METHOD_TOL",
     "TIE_TOL",
+    "VERIFY_TOL",
 ]
 
 DEFAULT_CAP = 20000  # above every pool with m <= 10, below every one with m >= 11
 CROSS_METHOD_TOL = 1e-8
 TIE_TOL = 1e-9
+VERIFY_TOL = 1e-10  # verify's default tensor tolerance, the CLI's included
 
 
 class CapExceededError(RuntimeError):
@@ -386,7 +388,7 @@ def verify_suite(
         raise ValueError("verify needs k >= 3")
     if m_lo > m_hi:
         raise ValueError("empty m range")
-    opts = opts or IterationOptions(tolerance=1e-10)
+    opts = opts or IterationOptions(tolerance=VERIFY_TOL)
     tol = opts.tolerance
     graphs: dict[tuple, Hypergraph] = {}  # every family member a claim reads
 

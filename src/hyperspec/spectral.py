@@ -61,16 +61,18 @@ once, and a graph's min and max run across the batch.  The edges are
 stored by column, row j of a (k, B*m) array holding slot j of every edge,
 so each step of the exponent is one whole-row operation, and bincount
 sums each vertex's terms slot row by slot row.  Each graph keeps its own
-enclosure, the min and max of its own quotients plus s, and retires when
-that enclosure is narrower than the tolerance; a mask over the batch
-then compacts it, the edge columns of the graphs left re-offset rather
-than rebuilt, and their momentum state (the log iterate, t and the last
-width) taken with them.  Every operation on a graph's entries is the one
-a one-graph loop would do, in the same order, so a result does not
-depend on the batch it ran in.  spectral_radii_tensor batches a list by
-shape, and spectral_radius_tensor is the batch of one; apply_adjacency,
-whose x may be any real vector, keeps the direct product of the other
-entries at each slot.
+enclosure, the min and max of its own quotients plus s.  One retire step
+takes the graphs whose enclosure is narrower than the tolerance, checks
+their returned vectors, writes the results and hands back the mask of the
+graphs that leave; the others keep their momentum state (the log iterate,
+t and the last width).  Any sub-batch, the graphs left or the retirees
+under check, is laid out from its own vertex ids by the one encoder.
+Every operation on a graph's entries is the one a one-graph loop would
+do, in the same order, so a result does not depend on the batch it ran
+in.  spectral_radii_tensor batches a list by shape, and
+spectral_radius_tensor is the batch of one; apply_adjacency, whose x may
+be any finite vector, keeps the direct product of the other entries at
+each slot.
 """
 
 from __future__ import annotations
@@ -142,14 +144,24 @@ class SpectralResult:
         return out
 
 
-def _edge_columns(edge_lists, n: int) -> np.ndarray:
-    """For a (B, m, k) batch of edge lists on n vertices, with graph b's
-    vertex v at flat entry v*B + b: the (k, B*m) columns, row j holding slot
-    j of every edge and graph b's edges in columns b*m .. b*m + m - 1."""
-    idx = np.asarray(edge_lists, dtype=np.intp)
-    b, m, k = idx.shape
-    flat = (idx * b + np.arange(b)[:, None, None]).reshape(b * m, k)
-    return np.ascontiguousarray(flat.T)
+def _edge_columns(idx: np.ndarray) -> np.ndarray:
+    """The batch layout of a (k, B, m) array of local vertex ids, which it
+    overwrites, graph b's vertex v at flat entry v*B + b: the C-ordered
+    (k, B*m) columns, row j holding slot j of every edge and graph b's
+    edges in columns b*m .. b*m + m - 1."""
+    k, b, m = idx.shape
+    idx *= b
+    idx += np.arange(b)[:, None]
+    return np.ascontiguousarray(idx.reshape(k, b * m))
+
+
+def _sub_batch(cols: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The _edge_columns array of the graphs where mask is set, their local
+    vertex ids read off the batch's columns cols."""
+    k, b = cols.shape[0], mask.size
+    idx = np.compress(mask, cols.reshape(k, b, -1), axis=1)
+    idx //= b
+    return _edge_columns(idx)
 
 
 def _adjacency_product(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -191,23 +203,25 @@ def _log_quotients(cols: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.bincount(cols.ravel(), weights=g.ravel(), minlength=v.shape[0])
 
 
-def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
-    """y_i = sum over edges e containing i of prod_{j in e \\ {i}} x_j."""
+def _checked_vector(h: Hypergraph, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (h.n,):
         raise ValueError(f"vector length {x.shape} does not match n={h.n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("vector entries must be finite")
-    return _adjacency_product(_edge_columns([h.edges], h.n), x)
+    return x
+
+
+def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
+    """y_i = sum over edges e containing i of prod_{j in e \\ {i}} x_j."""
+    x = _checked_vector(h, x)
+    return _adjacency_product(_edge_columns(np.asarray(h.edges, dtype=np.intp).T[:, None]), x)
 
 
 def rayleigh(h: Hypergraph, x) -> float:
     """A(G) x^k = k * sum over edges of the full vertex product."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (h.n,):
-        raise ValueError(f"vector length {x.shape} does not match n={h.n}")
-    idx = np.asarray(h.edges, dtype=np.intp)
-    return float(h.k * np.prod(x[idx], axis=1).sum())
+    x = _checked_vector(h, x)
+    return float(h.k * np.prod(x[np.asarray(h.edges, dtype=np.intp)], axis=1).sum())
 
 
 def spectral_radius_tensor(
@@ -250,19 +264,15 @@ def _iterate(
 ) -> list[SpectralResult]:
     """The restarted momentum iteration on a batch of hypergraphs of one
     shape, from the all-ones vector; labels name the inputs in a
-    ConvergenceError.
-
-    A graph retires when its own enclosure, and that of the vector it
-    returns, is narrower than the tolerance, and the batch is then
-    compacted, so a converged graph costs nothing.
-    """
+    ConvergenceError.  Each graph leaves the batch at the sweep where
+    _retire writes its result, so a converged graph costs nothing."""
     n, power = hs[0].n, hs[0].k - 1
     # momentum is stable while 4 s >= gain * rho, tested as hi <= hi_max
     gain = 3.0 / power - 1.0
     hi_max = _SHIFT * (1.0 + 4.0 / gain) if gain > 0 else math.inf
     out: list[SpectralResult | None] = [None] * len(hs)
     rows = np.arange(len(hs))  # batch column -> index into hs
-    cols = _edge_columns([h.edges for h in hs], n)
+    cols = _edge_columns(np.asarray([h.edges for h in hs], dtype=np.intp).transpose(2, 0, 1))
     u = u_prev = np.zeros((n, len(hs)))  # log of the iterate, one column per graph
     t = np.zeros(len(hs))  # per graph: sweeps since its last restart
     width = np.full(len(hs), np.inf)  # per graph: its last enclosure width
@@ -281,22 +291,12 @@ def _iterate(
         w = hi - lo
         done = w < opts.tolerance
         if np.count_nonzero(done):
-            done, xs = _returned_vectors(hs, rows, v, done, power, opts.tolerance)
+            done = _retire(out, rows, it, cols, v, q, lo, hi, done, opts.tolerance)
         if np.count_nonzero(done):
-            for j, x in zip(np.flatnonzero(done).tolist(), xs):
-                rho = float(0.5 * (lo[j] + hi[j]) - _SHIFT)
-                xk = x ** power
-                out[rows[j]] = SpectralResult(
-                    rho=rho,
-                    perron=tuple(x.tolist()),
-                    residual=float(np.abs(q[:, j] * xk - rho * xk).max()),
-                    iterations=it,
-                    method="tensor-power",
-                )
             keep = ~done
             if not np.count_nonzero(keep):
                 return out
-            cols = _compact(cols, keep)
+            cols = _sub_batch(cols, keep)
             rows, hi, w, t, width = rows[keep], hi[keep], w[keep], t[keep], width[keep]
             q, v, u = (np.compress(keep, a, axis=1) for a in (q, v, u))
         # restart where the enclosure widened, or where hi - s, an upper
@@ -317,40 +317,34 @@ def _iterate(
     )
 
 
-def _returned_vectors(hs, rows, v, done, power, tolerance):
-    """The graphs of done whose returned vector x = exp(v), normalised to
-    unit maximum, holds an enclosure of its own narrower than the
-    tolerance, and their x, one per kept graph in batch order.  Rounding x
-    moves its quotients by a few ulps from the log point's, which can lift
-    an enclosure just under the tolerance over it; such a graph runs
-    another sweep.  Where x^{k-1} leaves the normal range, x cannot carry
-    its own enclosure, and the log point's stands."""
+def _retire(out, rows, it, cols, v, q, lo, hi, done, tolerance) -> np.ndarray:
+    """The retire step at sweep it, for the graphs of done, whose log
+    enclosure [lo, hi] is narrower than the tolerance.  A graph retires
+    when its returned vector x = exp(v), normalised to unit maximum, holds
+    an enclosure of its own narrower than the tolerance too: its result
+    goes to out[rows[j]], and the mask returned marks it.  Rounding x moves
+    its quotients by a few ulps from the log point's, which can lift an
+    enclosure just under the tolerance over it; such a graph runs another
+    sweep.  Where x^{k-1} leaves the normal range, x cannot carry its own
+    enclosure, and the log point's stands."""
     idx = np.flatnonzero(done)
     sub = v[:, idx]
     x = np.exp(sub - np.maximum.reduce(sub))
-    xk = x ** power
-    z = _adjacency_product(_edge_columns([hs[rows[j]].edges for j in idx], v.shape[0]),
-                           x.ravel()).reshape(x.shape)
+    xk = x ** (cols.shape[0] - 1)
+    z = _adjacency_product(_sub_batch(cols, done), x.ravel()).reshape(x.shape)
     with np.errstate(divide="ignore", invalid="ignore"):  # x^{k-1} may be 0
         ratios = (z + _SHIFT * xk) / xk
-    width = np.maximum.reduce(ratios) - np.minimum.reduce(ratios)
-    ok = (width < tolerance) | (np.minimum.reduce(xk) < np.finfo(float).tiny)
+    ok = np.maximum.reduce(ratios) - np.minimum.reduce(ratios) < tolerance
+    ok |= np.minimum.reduce(xk) < np.finfo(float).tiny
+    rho = 0.5 * (lo[idx] + hi[idx]) - _SHIFT
+    residual = np.maximum.reduce(np.abs(q[:, idx] * xk - rho * xk))
+    for i in np.flatnonzero(ok).tolist():
+        out[rows[idx[i]]] = SpectralResult(rho=float(rho[i]), perron=tuple(x[:, i].tolist()),
+                                           residual=float(residual[i]), iterations=it,
+                                           method="tensor-power")
     done = done.copy()
-    done[idx[~ok]] = False
-    return done, [x[:, i] for i in np.flatnonzero(ok).tolist()]
-
-
-def _compact(cols: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The _edge_columns array of the graphs where keep is set, taken from
-    cols by the mask and re-offset, not rebuilt: entry v*B + b of a kept
-    graph b becomes v*live + (the kept graphs before b)."""
-    k, b = cols.shape[0], keep.size
-    kept = np.compress(keep, cols.reshape(k, b, -1), axis=1)
-    live = kept.shape[1]
-    kept //= b  # the vertex v
-    kept *= live
-    kept += np.arange(live)[:, None]
-    return kept.reshape(k, -1)
+    done[idx] = ok
+    return done
 
 
 def spectral_radius_power_formula(

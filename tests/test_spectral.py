@@ -28,9 +28,10 @@ from hyperspec import (
     spectral_radius_power_formula,
     spectral_radius_tensor,
 )
+from hyperspec import spectral
 from hyperspec.spectral import _SHIFT
 
-from helpers import random_unicyclic, reference_log_quotients, reference_product
+from helpers import random_unicyclic, reference_log_quotients, reference_product, relabel
 
 RHO_PAW = 2.170086486626034  # root of det(x*I - A) for the triangle-plus-leaf graph
 
@@ -88,6 +89,12 @@ def test_apply_rejects_nan_entry():
     h = make_hypergraph(3, [{0, 1, 2}])
     with pytest.raises(ValueError, match="finite"):
         apply_adjacency(h, [1.0, float("nan"), 1.0])
+
+
+def test_rayleigh_rejects_nan_entry():
+    h = make_hypergraph(3, [{0, 1, 2}])
+    with pytest.raises(ValueError, match="finite"):
+        rayleigh(h, [float("nan"), 1.0, 1.0])
 
 
 def test_rayleigh_values():
@@ -352,6 +359,33 @@ def test_returned_vector_holds_its_own_enclosure(k, g, m, seed):
     assert ratios.max() - ratios.min() < IterationOptions().tolerance
     assert ratios.min() <= res.rho + _SHIFT <= ratios.max()
     assert res == serial_reference(h)
+
+
+@pytest.mark.parametrize("k,g,m,seed,masks", [
+    (6, 34, 37, 4042048786, [(5, 2), (4, 4)]),
+    (5, 37, 72, 39897165, [(2, 1), (5, 5)]),
+])
+def test_retire_step_keeps_graphs_whose_returned_vector_fails(monkeypatch, k, g, m, seed, masks):
+    """The pinned inputs above, each batched with five relabelings of
+    itself: at k = 6, 5 of the 6 graphs first pass the log test at one
+    sweep and the returned-vector test keeps 3 of them sweeping (2 and 1 of
+    them at k = 5), so the retire mask is partial.  Every result still
+    equals the one-graph call's."""
+    h = random_unicyclic(k, m, np.random.default_rng(seed), g=g)
+    rng = np.random.default_rng(2)
+    hs = [h] + [relabel(h, rng.permutation(h.n).tolist()) for _ in range(5)]
+    singles = [spectral_radius_tensor(x) for x in hs]
+    seen, retire = [], spectral._retire
+
+    def recorded(out, rows, it, cols, v, q, lo, hi, done, *rest):
+        mask = retire(out, rows, it, cols, v, q, lo, hi, done, *rest)
+        seen.append((int(done.sum()), int(mask.sum())))
+        return mask
+
+    monkeypatch.setattr(spectral, "_retire", recorded)
+    assert spectral_radii_tensor(hs) == singles
+    assert seen == masks
+    assert singles == [serial_reference(x) for x in hs]
 
 
 def test_batch_mixed_shapes_keep_input_order():
