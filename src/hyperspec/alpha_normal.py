@@ -20,7 +20,7 @@ rho(Q_m) > rho(P_m).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .families import family_o_with_roles, family_p_with_roles, family_q_with_roles
 from .hypergraph import Hypergraph, unique_cycle
@@ -101,9 +101,6 @@ class NormalityReport:
     row_sums: tuple[float, ...]
     edge_products: tuple[float, ...]
     cycle_product: float | None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def cycle_consistency(w: WeightedIncidence) -> float:

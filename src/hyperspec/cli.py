@@ -12,6 +12,7 @@ flags; 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -68,7 +69,8 @@ def _fmt(x: float) -> str:
 
 
 def _render_json(obj) -> str:
-    """JSON with 17-significant-digit floats and insertion-order keys."""
+    """JSON with 17-significant-digit floats and insertion-order keys.  A
+    dataclass is an object whose keys are its fields in declaration order."""
     if obj is None or isinstance(obj, bool):
         return json.dumps(obj)
     if isinstance(obj, float):
@@ -81,6 +83,8 @@ def _render_json(obj) -> str:
         if set(map(type, obj)) == {float}:  # a Perron vector: "%.17g" is _fmt
             return "[" + ", ".join(map("%.17g".__mod__, obj)) + "]"
         return "[" + ", ".join(_render_json(v) for v in obj) + "]"
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         parts = (f"{json.dumps(str(key))}: {_render_json(val)}" for key, val in obj.items())
         return "{" + ", ".join(parts) + "}"
@@ -132,7 +136,7 @@ def _integer(text: str) -> int:
         raise _BadInteger(str(exc)) from None
 
 
-def _iter_options(args, tolerance: float = 1e-12) -> IterationOptions:
+def _iter_options(args, tolerance: float = IterationOptions.tolerance) -> IterationOptions:
     """--tol and --max-iter as given, the command's defaults where not."""
     return IterationOptions(
         tolerance=tolerance if args.tol is None else args.tol,
@@ -174,8 +178,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_profile(args) -> int:
     h = load_hypergraph(args.input)
-    prof = structural_profile(h)
-    _emit(_render_json(prof.to_json_dict()) + "\n", args.output)
+    _emit(_render_json(structural_profile(h)) + "\n", args.output)
     return 0
 
 
@@ -228,7 +231,7 @@ def _cmd_alpha(args) -> int:
     w = _BUILDERS[args.family](args.m, args.k, alpha)
     report = check_normal(w, alpha)
     _emit(weights_to_text(w), args.output)
-    sys.stdout.write(_render_json(report.to_json_dict()) + "\n")
+    sys.stdout.write(_render_json(report) + "\n")
     return 0
 
 
@@ -303,7 +306,7 @@ def _cmd_rank(args) -> int:
 
 def _verify_table(reports: list[VerificationReport], fmt: str) -> str:
     if fmt == "json":
-        return _render_json([r.to_json_dict() for r in reports]) + "\n"
+        return _render_json(reports) + "\n"
     header = ["claim", "k", "m", "detail", "lhs", "rhs", "gap", "status"]
     rows = []
     for rep in reports:

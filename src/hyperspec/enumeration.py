@@ -36,7 +36,7 @@ dihedral group of each girth gives the number of necklaces.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import gcd
@@ -340,24 +340,13 @@ class InstanceCheck:
     tolerance: float
     status: str  # "pass" | "fail" | "na"
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class VerificationReport:
     claim: str
     description: str
-    instances: tuple[InstanceCheck, ...]
     verdict: str  # "pass" | "fail" | "not-applicable"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "description": self.description,
-            "verdict": self.verdict,
-            "instances": [inst.to_json_dict() for inst in self.instances],
-        }
+    instances: tuple[InstanceCheck, ...]
 
 
 def verify_suite(
@@ -498,5 +487,5 @@ def _finish(claim: str, desc: str, instances: list[InstanceCheck]) -> Verificati
     else:
         verdict = "fail"
     return VerificationReport(
-        claim=claim, description=desc, instances=tuple(instances), verdict=verdict
+        claim=claim, description=desc, verdict=verdict, instances=tuple(instances)
     )

@@ -287,24 +287,13 @@ def power_base(h: Hypergraph) -> Hypergraph | None:
 class StructuralProfile:
     """Degrees, pendant structure, and cycle classification of a hypergraph."""
 
-    degrees: tuple[int, ...]
-    cored_vertices: tuple[int, ...]
-    pendent_edges: tuple[int, ...]
     classification: str  # "hypertree" | "unicyclic" | "other"
     girth: int | None
     linear: bool
     connected: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "girth": self.girth,
-            "linear": self.linear,
-            "connected": self.connected,
-            "degrees": list(self.degrees),
-            "cored_vertices": list(self.cored_vertices),
-            "pendent_edges": list(self.pendent_edges),
-        }
+    degrees: tuple[int, ...]
+    cored_vertices: tuple[int, ...]
+    pendent_edges: tuple[int, ...]
 
 
 def structural_profile(h: Hypergraph) -> StructuralProfile:
@@ -332,13 +321,13 @@ def structural_profile(h: Hypergraph) -> StructuralProfile:
         classification = "unicyclic"
         girth = len(h._peel[4]) // 2
     return StructuralProfile(
-        degrees=deg,
-        cored_vertices=cored,
-        pendent_edges=pendent,
         classification=classification,
         girth=girth,
         linear=h.is_linear,
         connected=connected,
+        degrees=deg,
+        cored_vertices=cored,
+        pendent_edges=pendent,
     )
 
 

@@ -469,6 +469,46 @@ def build(capsys, path, *spec):
     return str(path)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _pairs(text):
+    """One JSON value with every object read as its list of (key, value)
+    pairs, in the order printed; NaN and Infinity are refused."""
+    return json.loads(text, object_pairs_hook=list, parse_constant=_refuse_constant)
+
+
+def _keys(pairs):
+    return [key for key, _ in pairs]
+
+
+def test_json_key_order(tmp_path, capsys):
+    """The keys each command prints, in order: a result's fields in their
+    declared order, and `perron` last, only under --perron."""
+    q6 = build(capsys, tmp_path / "q6.json", "--family", "Q", "--m", "6")
+    code, stdout, _ = invoke(capsys, "profile", q6)
+    assert code == 0
+    assert _keys(_pairs(stdout)) == ["classification", "girth", "linear", "connected",
+                                     "degrees", "cored_vertices", "pendent_edges"]
+    code, stdout, _ = invoke(capsys, "rho", q6, "--perron")
+    assert code == 0
+    assert _keys(_pairs(stdout)) == ["rho", "residual", "iterations", "method", "perron"]
+    code, stdout, _ = invoke(capsys, "alpha", "emit", "--family", "Q", "--m", "5", "--k", "3")
+    assert code == 0
+    assert _keys(_pairs(stdout.splitlines()[-1])) == [
+        "mode", "alpha", "tolerance", "row_sums", "edge_products", "cycle_product"]
+    code, stdout, _ = invoke(capsys, "verify", "--k", "3", "--m", "5..6", "--format", "json")
+    assert code == 0
+    reports = _pairs(stdout)
+    assert reports and all(
+        _keys(rep) == ["claim", "description", "verdict", "instances"] for rep in reports)
+    instances = [inst for rep in reports for inst in dict(rep)["instances"]]
+    assert instances and all(_keys(inst) == [
+        "k", "m", "detail", "lhs_label", "rhs_label", "lhs", "rhs", "gap", "tolerance", "status",
+    ] for inst in instances)
+
+
 def test_transform_relocate_pair_and_outputs(tmp_path, capsys):
     from hyperspec import load_hypergraph, relocate
     from hyperspec.hypergraph import hypergraph_from_json

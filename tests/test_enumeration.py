@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -331,7 +332,7 @@ def test_verify_suite_rejects_empty_range():
 
 def test_verify_report_serialization():
     reports = verify_suite(3, 5, 5, IterationOptions(tolerance=1e-10))
-    d = reports[0].to_json_dict()
+    d = asdict(reports[0])
     assert d["claim"] and d["verdict"] in ("pass", "fail", "not-applicable")
     assert all({"k", "m", "gap", "status"} <= set(i) for i in d["instances"])
 
@@ -344,7 +345,7 @@ def test_verify_suite_matches_pinned_instances(k):
     for the cross-method differences, which are rounding noise)."""
     data = Path(__file__).parent / "data" / f"verify_k{k}_m1_9.json"
     pinned = json.loads(data.read_text())
-    got = [r.to_json_dict() for r in verify_suite(k, 1, 9)]
+    got = [asdict(r) for r in verify_suite(k, 1, 9)]
     assert [(r["claim"], r["description"], r["verdict"]) for r in got] == [
         (r["claim"], r["description"], r["verdict"]) for r in pinned
     ]

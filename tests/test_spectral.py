@@ -240,6 +240,25 @@ def test_power_formula_matches_dense_eigvalsh(k):
             assert abs(via_formula - m ** (1.0 / k)) <= 1e-11, m
 
 
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_tensor_hyperstar_matches_closed_form(k):
+    """rho(hyperstar) = m^(1/k) (Cooper & Dutle 2012) on the tensor route:
+    the midpoint of an enclosure under 1e-12 wide lies within half of it,
+    plus the rounding of the closed form.  k = 3, m = 300 sits near the edge
+    of the momentum gate and takes about 300 sweeps."""
+    for m in (1, 2, 10, 100, 300, 1000, 2000, 4000):
+        rho = spectral_radius_tensor(family(FamilySpec("Hyperstar", k, m))).rho
+        assert abs(rho - m ** (1.0 / k)) <= 0.5e-12 + 1e-14, m
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: the bincount sum at a 15 000-edge hub rounds, and the "
+    "iteration retires after 40 sweeps with rho 2.7e-12 below m^(1/3)"))
+def test_tensor_large_hyperstar_within_claimed_enclosure():
+    rho = spectral_radius_tensor(family(FamilySpec("Hyperstar", 3, 15000))).rho
+    assert abs(rho - 15000 ** (1.0 / 3)) <= 0.5e-12 + 1e-14
+
+
 def test_power_formula_rejects_non_simple_graph():
     with pytest.raises(ValueError, match="k = 2"):
         spectral_radius_power_formula(family(FamilySpec(tag="S", k=3, m=4, g=3)), 3)
