@@ -121,9 +121,11 @@ def cycle_consistency(w: WeightedIncidence) -> float:
 
 def check_normal(w: WeightedIncidence, alpha: float) -> NormalityReport:
     """Classify a weighted incidence matrix against alpha, to DEFAULT_CHECK_TOL."""
-    if not w.hypergraph.is_connected:
-        raise ValueError("normality check needs a connected hypergraph")
     h = w.hypergraph
+    if not h.is_connected:
+        raise ValueError("normality check needs a connected hypergraph")
+    if h._cycle_rank and not h._linear_unicyclic:  # the only cycles checked are theirs
+        raise ValueError("normality check needs a hypertree or a linear unicyclic hypergraph")
     tol = DEFAULT_CHECK_TOL
     rows = tuple(w.row_sum(v) for v in range(h.n))
     prods = tuple(w.edge_product(j) for j in range(h.m))
@@ -394,6 +396,8 @@ def build_B_Q_supernormal(m: int, k: int, alpha: float) -> WeightedIncidence:
     if not 0.0 < alpha <= 0.2 + 1e-12:
         raise ValueError(f"alpha={alpha} outside (0, 1/5]")
     g = gamma(alpha)
+    if not g < 1.0:  # alpha below about 1e-32
+        raise ValueError(f"alpha={alpha} too small: the cycle weight gamma rounds to 1")
     beta = alpha / (1.0 - g)
     if beta >= 1.0:
         raise ValueError("alpha too large: cycle weight would not be positive")

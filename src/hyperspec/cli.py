@@ -68,6 +68,11 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _fields(record) -> dict:
+    """A dataclass's fields by name, in declaration order (a shallow copy)."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 def _render_json(obj) -> str:
     """JSON with 17-significant-digit floats and insertion-order keys.  A
     dataclass is an object whose keys are its fields in declaration order."""
@@ -84,11 +89,20 @@ def _render_json(obj) -> str:
             return "[" + ", ".join(map("%.17g".__mod__, obj)) + "]"
         return "[" + ", ".join(_render_json(v) for v in obj) + "]"
     if dataclasses.is_dataclass(obj):
-        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        obj = _fields(obj)
     if isinstance(obj, dict):
         parts = (f"{json.dumps(str(key))}: {_render_json(val)}" for key, val in obj.items())
         return "{" + ", ".join(parts) + "}"
     raise TypeError(f"cannot render {type(obj)!r}")
+
+
+def _cell(value) -> str:
+    """A md/csv cell: blank for None, yes/no for a bool, 17 digits for a float."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 def _table(header: list[str], rows: list[list[str]], fmt: str,
@@ -204,7 +218,10 @@ def _cmd_rho(args) -> int:
         if base is None:
             raise ValueError("input is not the power of a simple graph")
         res = spectral_radius_power_formula(base, h.k, opts)
-    _emit(_render_json(res.to_json_dict(include_perron=args.perron)) + "\n", args.output)
+    out = _fields(res)
+    if not args.perron:
+        del out["perron"]
+    _emit(_render_json(out) + "\n", args.output)
     return 0
 
 
@@ -286,14 +303,9 @@ def _cmd_enumerate(args) -> int:
 
 def _rank_table(entries: list[RankEntry], fmt: str) -> str:
     if fmt == "json":
-        rows = [
-            {"rank": e.rank, "tied": e.tied, "rho": e.rho, "canonical_id": e.canonical_id}
-            for e in entries
-        ]
-        return _render_json(rows) + "\n"
-    rows = [[str(e.rank), "yes" if e.tied else "no", _fmt(e.rho), e.canonical_id]
-            for e in entries]
-    return _table(["rank", "tied", "rho", "canonical_id"], rows, fmt)
+        return _render_json(entries) + "\n"
+    rows = [[_cell(v) for v in _fields(e).values()] for e in entries]
+    return _table([f.name for f in dataclasses.fields(RankEntry)], rows, fmt)
 
 
 def _cmd_rank(args) -> int:
@@ -307,22 +319,11 @@ def _cmd_rank(args) -> int:
 def _verify_table(reports: list[VerificationReport], fmt: str) -> str:
     if fmt == "json":
         return _render_json(reports) + "\n"
-    header = ["claim", "k", "m", "detail", "lhs", "rhs", "gap", "status"]
-    rows = []
-    for rep in reports:
-        for inst in rep.instances:
-            rows.append([
-                rep.claim,
-                str(inst.k),
-                str(inst.m),
-                inst.detail,
-                "" if inst.lhs is None else _fmt(inst.lhs),
-                "" if inst.rhs is None else _fmt(inst.rhs),
-                "" if inst.gap is None else _fmt(inst.gap),
-                inst.status,
-            ])
+    cols = ["k", "m", "detail", "lhs", "rhs", "gap", "status"]  # no labels or tolerance
+    rows = [[rep.claim, *(_cell(getattr(inst, c)) for c in cols)]
+            for rep in reports for inst in rep.instances]
     summary = ("", "Summary:", *(f"- {rep.claim}: {rep.verdict}" for rep in reports))
-    return _table(header, rows, fmt, summary)
+    return _table(["claim", *cols], rows, fmt, summary)
 
 
 def _cmd_verify(args) -> int:

@@ -45,7 +45,7 @@ from .alpha_normal import spectral_radius_alpha
 from .canonical import BeadReader, canonical_form, canonical_id
 from .families import FamilySpec, family
 from .hypergraph import Hypergraph
-from .spectral import IterationOptions, SpectralResult, spectral_radii_tensor
+from .spectral import IterationOptions, spectral_radii_tensor
 
 __all__ = [
     "CapExceededError",
@@ -275,12 +275,12 @@ def enumerate_linear_unicyclic(
 
 @dataclass(frozen=True)
 class RankEntry:
+    """One row of `rank`, its fields in the order it prints them."""
+
     rank: int  # competition ranking; tied entries share it
-    canonical_id: str
-    rho: float
     tied: bool
-    hypergraph: Hypergraph
-    result: SpectralResult
+    rho: float
+    canonical_id: str
 
 
 def rank_by_rho(
@@ -295,30 +295,18 @@ def rank_by_rho(
     from its largest to its smallest value.
     """
     results = spectral_radii_tensor(instances, opts)
-    rows = [(res.rho, canonical_id(h), h, res) for h, res in zip(instances, results)]
-    rows.sort(key=lambda r: -r[0])
-    groups: list[list[tuple]] = []
+    rows = sorted(((res.rho, canonical_id(h)) for h, res in zip(instances, results)),
+                  key=lambda r: -r[0])
+    groups: list[list[tuple[float, str]]] = []
     for row in rows:
         if groups and groups[-1][-1][0] - row[0] <= TIE_TOL:
             groups[-1].append(row)
         else:
             groups.append([row])
     out: list[RankEntry] = []
-    pos = 1
     for grp in groups:
-        grp.sort(key=lambda r: r[1])
-        for rho, cid, h, res in grp:
-            out.append(
-                RankEntry(
-                    rank=pos,
-                    canonical_id=cid,
-                    rho=rho,
-                    tied=len(grp) > 1,
-                    hypergraph=h,
-                    result=res,
-                )
-            )
-        pos += len(grp)
+        rank, tied = len(out) + 1, len(grp) > 1
+        out += (RankEntry(rank, tied, rho, cid) for rho, cid in sorted(grp, key=lambda r: r[1]))
     return out
 
 

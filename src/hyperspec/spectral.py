@@ -127,21 +127,10 @@ class SpectralResult:
     """
 
     rho: float
-    perron: tuple[float, ...] | None
     residual: float
     iterations: int
     method: str
-
-    def to_json_dict(self, include_perron: bool = False) -> dict:
-        out: dict = {
-            "rho": self.rho,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "method": self.method,
-        }
-        if include_perron and self.perron is not None:
-            out["perron"] = list(self.perron)
-        return out
+    perron: tuple[float, ...] | None  # last: `rho` prints it only under --perron
 
 
 def _edge_columns(idx: np.ndarray) -> np.ndarray:

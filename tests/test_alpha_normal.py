@@ -264,6 +264,15 @@ def test_build_domain_errors():
         build_B_Q_supernormal(5, 3, 0.3)
 
 
+def test_q_builder_refuses_alpha_whose_cycle_weight_rounds_to_one():
+    """Below alpha of about 1e-32, gamma(alpha) rounds to 1.0 and the cycle
+    weight 1 - gamma would be 0: a ValueError, not a ZeroDivisionError."""
+    assert gamma(1e-40) == 1.0 and gamma(3e-32) < 1.0
+    build_B_Q_supernormal(5, 3, 3e-32)
+    with pytest.raises(ValueError, match="too small"):
+        build_B_Q_supernormal(5, 3, 1e-40)
+
+
 @pytest.mark.parametrize("build,m,message", [
     (build_B_P, 4, "P needs m >= 5"),
     (build_B_O, 2, "O needs m >= 4"),  # its alpha bound would divide by m - 2 = 0
@@ -511,3 +520,38 @@ def test_check_normal_requires_connected():
     w = WeightedIncidence(hypergraph=h, weights=weights)
     with pytest.raises(ValueError, match="connected"):
         check_normal(w, 1.0)
+
+
+def _two_triangles_at_vertex_0(alpha):
+    """A k = 2 labeling of two triangles sharing vertex 0 whose rows are 1
+    and products alpha, each triangle's cycle ratio away from 1 (a/b)^2."""
+    # a + b = 1/2 and (1 - alpha/a)(1 - alpha/b) = alpha fix the product ab
+    ab = alpha * (0.5 - alpha) / (1.0 - alpha)
+    a = 0.25 + (0.0625 - ab) ** 0.5
+    b = 0.5 - a
+    at = {(0, 1): (a, alpha / a), (0, 2): (b, alpha / b), (1, 2): (1 - alpha / a, 1 - alpha / b)}
+    at.update({(0, 3): at[(0, 1)], (0, 4): at[(0, 2)], (3, 4): at[(1, 2)]})
+    h = make_hypergraph(2, at)
+    return WeightedIncidence(hypergraph=h, weights={
+        (v, j): x for j, e in enumerate(h.edges) for v, x in zip(e, at[e])})
+
+
+@pytest.mark.parametrize("make_w,alpha", [
+    # two edges sharing vertices 0 and 1: every row is 1 and every product
+    # 0.21, but the 2-cycle ratio is (0.7/0.3)^2; a "normal" report would
+    # certify 0.21^(-1/3) = 1.68239, and the radius is 4^(1/3) = 1.58740
+    (lambda: WeightedIncidence(hypergraph=make_hypergraph(3, [(0, 1, 2), (0, 1, 3)]), weights={
+        (2, 0): 1.0, (3, 1): 1.0, (0, 0): 0.3, (1, 0): 0.7, (0, 1): 0.7, (1, 1): 0.3}), 0.21),
+    # two cycles: "normal" would certify 0.14^(-1/2) = 2.67261 against 2.56155
+    (lambda: _two_triangles_at_vertex_0(0.14), 0.14),
+], ids=["two-edges-sharing-two-vertices", "two-triangles-k-2"])
+def test_check_normal_refuses_cycles_it_does_not_check(make_w, alpha):
+    """Lu and Man's theorem needs consistency on every cycle, and check_normal
+    reads the cycle only of a linear unicyclic input, so any other input
+    with a cycle is refused rather than reported consistent."""
+    w = make_w()
+    rows = [w.row_sum(v) for v in range(w.hypergraph.n)]
+    prods = [w.edge_product(j) for j in range(w.hypergraph.m)]
+    assert max(abs(r - 1.0) for r in rows + [p / alpha for p in prods]) <= 1e-12
+    with pytest.raises(ValueError, match="hypertree or a linear unicyclic"):
+        check_normal(w, alpha)

@@ -220,6 +220,9 @@ BAD_FILES = {
         (("alpha", "eval", "--fn", "gamma", "--alpha", "0.2", "--r", "1"), 2, "gamma takes no --r"),
         (("alpha", "eval", "--fn", "phi", "--alpha", "0.2", "--r", "1"), 2, "phi takes no --r"),
         (("alpha", "eval", "--fn", "psi", "--alpha", "0.2", "--r", "1"), 2, "psi takes no --r"),
+        # gamma(alpha) rounds to 1.0, so Q's cycle weight 1 - gamma would be 0
+        (("alpha", "emit", "--family", "Q", "--m", "5", "--k", "3", "--alpha", "1e-40"), 2,
+         "alpha=1e-40 too small"),
     ],
     ids=["enumerate-cap", "json-edges-not-a-list", "json-k-float", "json-id-float",
          "json-id-out-of-range", "json-n-string", "json-id-bool", "json-id-negative",
@@ -236,7 +239,8 @@ BAD_FILES = {
          "power-formula-k-2", "perron-alpha", "perron-power-formula", "perron-underflow",
          "alpha-method-tol", "alpha-method-max-iter", "enumerate-tol-without-rho",
          "enumerate-max-iter-without-rho", "enumerate-default-tol-without-rho",
-         "alpha-method-default-max-iter", "eval-gamma-r", "eval-phi-r", "eval-psi-r"],
+         "alpha-method-default-max-iter", "eval-gamma-r", "eval-phi-r", "eval-psi-r",
+         "alpha-emit-q-alpha-underflow"],
 )
 def test_error_exit_codes(tmp_path, capsys, argv, expected, message):
     paths = {}
@@ -494,6 +498,20 @@ def test_json_key_order(tmp_path, capsys):
     code, stdout, _ = invoke(capsys, "rho", q6, "--perron")
     assert code == 0
     assert _keys(_pairs(stdout)) == ["rho", "residual", "iterations", "method", "perron"]
+    code, stdout, _ = invoke(capsys, "rho", q6)
+    assert code == 0
+    assert _keys(_pairs(stdout)) == ["rho", "residual", "iterations", "method"]
+    rank_columns = ["rank", "tied", "rho", "canonical_id"]
+    code, stdout, _ = invoke(capsys, "rank", "--k", "3", "--m", "5", "--format", "json")
+    assert code == 0
+    rows = _pairs(stdout)
+    assert rows and all(_keys(row) == rank_columns for row in rows)
+    code, stdout, _ = invoke(capsys, "rank", "--k", "3", "--m", "5", "--format", "md")
+    assert code == 0
+    assert stdout.splitlines()[0] == "| " + " | ".join(rank_columns) + " |"
+    code, stdout, _ = invoke(capsys, "rank", "--k", "3", "--m", "5", "--format", "csv")
+    assert code == 0
+    assert stdout.splitlines()[0] == ",".join(rank_columns)
     code, stdout, _ = invoke(capsys, "alpha", "emit", "--family", "Q", "--m", "5", "--k", "3")
     assert code == 0
     assert _keys(_pairs(stdout.splitlines()[-1])) == [
