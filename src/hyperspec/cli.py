@@ -14,7 +14,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+
+# hyperspec makes no BLAS call, so numpy's BLAS thread pool only burns CPU;
+# set before the first library import loads numpy.  A caller's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .alpha_normal import (
     build_B_O,
@@ -86,7 +91,7 @@ def _render_json(obj) -> str:
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
         if set(map(type, obj)) == {float}:  # a Perron vector: "%.17g" is _fmt
-            return "[" + ", ".join(map("%.17g".__mod__, obj)) + "]"
+            return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]"
         return "[" + ", ".join(_render_json(v) for v in obj) + "]"
     if dataclasses.is_dataclass(obj):
         obj = _fields(obj)

@@ -1,10 +1,15 @@
 """Test-only utilities: brute-force isomorphism, relabeling, random
 linear unicyclic hypergraphs, the exact alpha of P and O, a bisection
 oracle for the alpha search, a reference adjacency product and its
-log-domain quotients."""
+log-domain quotients, and a fresh interpreter to run code in."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import hyperspec
 from hyperspec import FamilySpec, Hypergraph, alpha_normal, family, make_hypergraph, solve_alpha
 
 
@@ -118,3 +123,12 @@ def brute_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:
         return False
 
     return place(0)
+
+
+def fresh_python(code: str, **env: str) -> str:
+    """stdout of `python -c code` in a new interpreter that imports this
+    hyperspec, with OPENBLAS_NUM_THREADS unset unless `env` sets it."""
+    src = os.path.dirname(os.path.dirname(hyperspec.__file__))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, "-c", code], env={**base, "PYTHONPATH": src, **env},
+                          capture_output=True, text=True, check=True).stdout

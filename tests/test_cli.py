@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from helpers import fresh_python
 
 from hyperspec.cli import run
 
@@ -620,3 +621,21 @@ def test_rho_power_formula_rejects_non_power(tmp_path, capsys):
     code, _, err = invoke(capsys, "rho", p5, "--method", "power-formula")
     assert code == 2
     assert "not the power" in err
+
+
+# Start-up: the package loads numpy only when a public name is first used, so
+# the CLI can default OPENBLAS_NUM_THREADS to 1 (hyperspec makes no BLAS call)
+# before numpy starts its thread pool; a value the caller set is kept.
+READ_BLAS_THREADS = 'import os, hyperspec.cli; print(os.environ["OPENBLAS_NUM_THREADS"])'
+
+
+def test_package_import_loads_no_numpy():
+    assert fresh_python('import sys, hyperspec; print("numpy" in sys.modules)') == "False\n"
+
+
+def test_cli_defaults_blas_to_one_thread():
+    assert fresh_python(READ_BLAS_THREADS) == "1\n"
+
+
+def test_cli_keeps_the_callers_blas_threads():
+    assert fresh_python(READ_BLAS_THREADS, OPENBLAS_NUM_THREADS="3") == "3\n"
