@@ -219,10 +219,7 @@ def spectral_radius_tensor(
 ) -> SpectralResult:
     """Largest H-eigenvalue and Perron vector of a connected hypergraph,
     iterated from the all-ones vector, so runs are deterministic."""
-    opts = opts or IterationOptions()
-    if not h.is_connected:
-        raise ValueError("hypergraph is not connected")
-    return _iterate([h], opts, [0])[0]
+    return spectral_radii_tensor([h], opts)[0]
 
 
 def spectral_radii_tensor(
@@ -266,12 +263,9 @@ def _iterate(
     t = np.zeros(len(hs))  # per graph: sweeps since its last restart
     width = np.full(len(hs), np.inf)  # per graph: its last enclosure width
     for it in range(1, opts.max_iterations + 1):
-        if np.count_nonzero(t):
-            v = u - u_prev  # the point u + c (u - u_prev), c = t/(t+3)
-            v *= t / (t + 3.0)
-            v += u
-        else:  # c = 0 everywhere, and u - u_prev is finite: v is u
-            v = u
+        v = u - u_prev  # the point u + c (u - u_prev), c = t/(t+3); u bit for bit at t = 0
+        v *= t / (t + 3.0)
+        v += u
         q = _log_quotients(cols, v.ravel()).reshape(v.shape)
         lo = np.minimum.reduce(q)  # per column: each graph's own
         hi = np.maximum.reduce(q)

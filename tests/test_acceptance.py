@@ -12,7 +12,9 @@ one PASS line on success (visible with `pytest -s`).  Criteria:
 5. the two rewiring goldens land on O_5 / Q_5 with strictly larger radius.
 6. enumeration: m=4 has exactly 3 classes; at m in {5,6} the top two
    ranked classes are S(m,3) then T1(m) with margins above 1e-6, under
-   5 min (the m=8 third-place check is in test_enumeration.py).
+   5 min (the m=8 third-place check is in test_enumeration.py;
+   test_paper_order_over_whole_pools checks the first three over whole
+   pools up to m = 9).
 7. the m <= 6 pool property checks run with zero failures (delegated to
    the pool property tests; re-asserted here on a spot sample).
 """
@@ -21,6 +23,7 @@ import random
 import time
 
 import numpy as np
+import pytest
 from conftest import POOL_OPTS
 from helpers import relabel, solve_alpha_O, solve_alpha_P
 
@@ -30,9 +33,13 @@ from hyperspec import (
     IterationOptions,
     apply_adjacency,
     canonical_form,
+    canonical_id,
+    enumerate_linear_unicyclic,
     family,
+    make_hypergraph,
     move_edges,
     phi,
+    power_hypergraph,
     rank_by_rho,
     rayleigh,
     rho_from_alpha,
@@ -142,6 +149,23 @@ def test_criterion_6_enumeration_and_ordering(pool_by_m):
     elapsed = time.time() - t0
     assert elapsed < 300.0
     print(f"\nACCEPTANCE 6 enumeration + ordering m=5,6: PASS ({elapsed:.1f}s)")
+
+
+@pytest.mark.parametrize("k, m", [(3, 6), (4, 6), (3, 7), (3, 8), (3, 9), (4, 7), (4, 8), (5, 8)])
+def test_paper_order_over_whole_pools(k, m):
+    """The paper's theorem over every class of the pool: S(m,3), T1 and Q
+    rank first, second and third, untied and 1e-4 clear of the fourth.
+    At m = 6 the third is the triangle with one pendant edge at each cycle
+    vertex (the k-th power of the net graph), and Q is fourth."""
+    entries = rank_by_rho(enumerate_linear_unicyclic(k, m))
+    top = [canonical_id(family(FamilySpec(tag=t, k=k, m=m, g=g)))
+           for t, g in (("S", 3), ("T1", None), ("Q", None))]
+    if m == 6:
+        net = make_hypergraph(2, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
+        top.insert(2, canonical_id(power_hypergraph(net, k)))
+    assert [e.canonical_id for e in entries[:len(top)]] == top
+    assert [(e.rank, e.tied) for e in entries[:4]] == [(1, False), (2, False), (3, False), (4, False)]
+    assert entries[2].rho - entries[3].rho > 1e-4
 
 
 def test_criterion_7_pool_property_sample(pool_by_m, rho_of):

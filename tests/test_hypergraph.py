@@ -6,6 +6,7 @@ import resource
 from contextlib import contextmanager
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from hyperspec import (
@@ -56,6 +57,35 @@ def test_unsorted_edge_rejected():
 def test_empty_edge_list_rejected():
     with pytest.raises(ValueError, match="empty"):
         make_hypergraph(3, [])
+
+
+@pytest.mark.parametrize("k, n, edges, message", [
+    (3, 3, (), "edge list is empty"),
+    (1, 3, ((0,), (1,), (2,)), "uniformity k must be >= 2"),
+    (3, 4, ((0, 1, 2), (0, 3)), "edge (0, 3) does not have 3 distinct vertices"),
+    (3, 3, ((0, 1, 1), (0, 1, 2)), "edge (0, 1, 1) does not have 3 distinct vertices"),
+    (3, 5, ((0, 1, 2), (2, 4, 3)), "edge (2, 4, 3) is not sorted"),
+    (3, 5, ((0, 1, 2), (0, 1, 2), (2, 3, 4)), "duplicate edge (0, 1, 2)"),
+    (3, 5, ((2, 3, 4), (0, 1, 2)), "edge (0, 1, 2) is out of order"),
+    (3, 6, ((0, 1, 2), (2, 3, 5)), "vertex count 6 does not match the edges: 5 ids from 0 to 5"),
+])
+def test_validator_messages(k, n, edges, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Hypergraph(k=k, n=n, edges=edges)
+
+
+def test_validator_refuses_a_non_integer_id():
+    with pytest.raises(ValueError, match=re.escape("edge (0, 1, 2.0) has a vertex id that is not an integer")):
+        Hypergraph(k=3, n=5, edges=((0, 1, 2.0), (2, 3, 4)))
+    with pytest.raises(ValueError, match="not an integer"):
+        Hypergraph(k=3, n=3, edges=((0, 1, "2"),))
+    h = Hypergraph(k=3, n=5, edges=tuple(tuple(np.arange(3) + s) for s in (0, 2)))
+    assert h == Hypergraph(k=3, n=5, edges=((0, 1, 2), (2, 3, 4)))
+
+
+def test_validator_names_a_non_tuple_edge():
+    with pytest.raises(ValueError, match=re.escape("edge [0, 1, 2] is not a tuple")):
+        Hypergraph(k=3, n=3, edges=([0, 1, 2],))
 
 
 def test_triangle_cycle():
