@@ -6,9 +6,9 @@ operations that increase it, and exhaustive enumeration of linear
 unicyclic hypergraphs up to isomorphism.
 
 The package republishes each module's `__all__`, which is the one list of
-its public names.  It imports the modules, and numpy with them, only when
-one of those names is first used (PEP 562), so `hyperspec.cli` can set up
-the process before numpy loads.
+its public names.  It imports the modules only when one of those names is
+first used (PEP 562).  The modules do not bring numpy: `spectral` loads
+it at its first tensor iteration, after `hyperspec.cli` set up the process.
 """
 
 import importlib

@@ -342,7 +342,8 @@ def unique_cycle(h: Hypergraph) -> tuple[list[int], list[int]]:
 # --- file formats -----------------------------------------------------------
 
 def hypergraph_to_json(h: Hypergraph) -> str:
-    return json.dumps({"k": h.k, "n": h.n, "edges": [list(e) for e in h.edges]})
+    # index turns ids the validator accepts, numpy integers too, into ints
+    return json.dumps({"k": h.k, "n": h.n, "edges": [list(map(index, e)) for e in h.edges]})
 
 
 def hypergraph_from_json(text: str) -> Hypergraph:

@@ -72,7 +72,8 @@ do, in the same order, so a result does not depend on the batch it ran
 in.  spectral_radii_tensor batches a list by shape, and
 spectral_radius_tensor is the batch of one; apply_adjacency, whose x may
 be any finite vector, keeps the direct product of the other entries at
-each slot.
+each slot.  Each function that calls numpy imports it itself, so numpy
+loads when one first runs, and a CLI command that never iterates skips it.
 """
 
 from __future__ import annotations
@@ -80,8 +81,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .hypergraph import Hypergraph
 
@@ -138,6 +137,7 @@ def _edge_columns(idx: np.ndarray) -> np.ndarray:
     overwrites, graph b's vertex v at flat entry v*B + b: the C-ordered
     (k, B*m) columns, row j holding slot j of every edge and graph b's
     edges in columns b*m .. b*m + m - 1."""
+    import numpy as np
     k, b, m = idx.shape
     idx *= b
     idx += np.arange(b)[:, None]
@@ -147,6 +147,7 @@ def _edge_columns(idx: np.ndarray) -> np.ndarray:
 def _sub_batch(cols: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The _edge_columns array of the graphs where mask is set, their local
     vertex ids read off the batch's columns cols."""
+    import numpy as np
     k, b = cols.shape[0], mask.size
     idx = np.compress(mask, cols.reshape(k, b, -1), axis=1)
     idx //= b
@@ -157,6 +158,7 @@ def _adjacency_product(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x^{k-1} on _edge_columns arrays and the flat vector x: per edge and
     slot, the prefix product before the slot times the suffix product after
     it, summed onto the slot's vertex edge by edge."""
+    import numpy as np
     k = cols.shape[0]
     g = x[cols]  # row j: the entry at slot j of every edge
     excl = np.empty(cols.shape[::-1])  # edge-major
@@ -179,6 +181,7 @@ def _log_quotients(cols: np.ndarray, v: np.ndarray) -> np.ndarray:
     exponent is built from differences within one edge and no power of x
     is ever formed; the terms are summed onto their vertices slot row by
     slot row."""
+    import numpy as np
     k = cols.shape[0]
     g = v.take(cols)  # row j: the log entry at slot j of every edge
     d, w = g[0], g[1:]  # d becomes slot 0's exponent
@@ -193,6 +196,7 @@ def _log_quotients(cols: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _checked_vector(h: Hypergraph, x) -> np.ndarray:
+    import numpy as np
     x = np.asarray(x, dtype=float)
     if x.shape != (h.n,):
         raise ValueError(f"vector length {x.shape} does not match n={h.n}")
@@ -203,12 +207,14 @@ def _checked_vector(h: Hypergraph, x) -> np.ndarray:
 
 def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
     """y_i = sum over edges e containing i of prod_{j in e \\ {i}} x_j."""
+    import numpy as np
     x = _checked_vector(h, x)
     return _adjacency_product(_edge_columns(np.asarray(h.edges, dtype=np.intp).T[:, None]), x)
 
 
 def rayleigh(h: Hypergraph, x) -> float:
     """A(G) x^k = k * sum over edges of the full vertex product."""
+    import numpy as np
     x = _checked_vector(h, x)
     return float(h.k * np.prod(x[np.asarray(h.edges, dtype=np.intp)], axis=1).sum())
 
@@ -252,6 +258,7 @@ def _iterate(
     shape, from the all-ones vector; labels name the inputs in a
     ConvergenceError.  Each graph leaves the batch at the sweep where
     _retire writes its result, so a converged graph costs nothing."""
+    import numpy as np
     n, power = hs[0].n, hs[0].k - 1
     # momentum is stable while 4 s >= gain * rho, tested as hi <= hi_max
     gain = 3.0 / power - 1.0
@@ -310,6 +317,7 @@ def _retire(out, rows, it, cols, v, q, lo, hi, done, tolerance) -> np.ndarray:
     enclosure just under the tolerance over it; such a graph runs another
     sweep.  Where x^{k-1} leaves the normal range, x cannot carry its own
     enclosure, and the log point's stands."""
+    import numpy as np
     idx = np.flatnonzero(done)
     sub = v[:, idx]
     x = np.exp(sub - np.maximum.reduce(sub))

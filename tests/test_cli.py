@@ -623,10 +623,12 @@ def test_rho_power_formula_rejects_non_power(tmp_path, capsys):
     assert "not the power" in err
 
 
-# Start-up: the package loads numpy only when a public name is first used, so
-# the CLI can default OPENBLAS_NUM_THREADS to 1 (hyperspec makes no BLAS call)
-# before numpy starts its thread pool; a value the caller set is kept.
+# Start-up: `import hyperspec.cli` loads every library layer but not numpy,
+# which only the tensor iteration loads, so the CLI can default
+# OPENBLAS_NUM_THREADS to 1 (hyperspec makes no BLAS call) before numpy starts
+# its thread pool; a value the caller set is kept.
 READ_BLAS_THREADS = 'import os, hyperspec.cli; print(os.environ["OPENBLAS_NUM_THREADS"])'
+TRACED_LAYERS = ("hypergraph", "families", "canonical", "spectral", "alpha_normal", "enumeration")
 
 
 def test_package_import_loads_no_numpy():
@@ -639,3 +641,43 @@ def test_cli_defaults_blas_to_one_thread():
 
 def test_cli_keeps_the_callers_blas_threads():
     assert fresh_python(READ_BLAS_THREADS, OPENBLAS_NUM_THREADS="3") == "3\n"
+
+
+def run_fresh(argv, report):
+    """The last stdout line of a new interpreter that calls run(argv), then
+    prints the expression report; a SystemExit (from --help) is caught."""
+    code = (f"import os, sys\nfrom hyperspec.cli import run\ntry:\n    run({argv!r})\n"
+            f"except SystemExit:\n    pass\nprint({report})")
+    return fresh_python(code).splitlines()[-1]
+
+
+def test_cli_import_loads_every_layer_but_not_numpy():
+    code = (f"import sys, hyperspec.cli; print(all(f'hyperspec.{{m}}' in sys.modules "
+            f"for m in {TRACED_LAYERS!r}), 'numpy' in sys.modules)")
+    assert fresh_python(code) == "True False\n"
+
+
+@pytest.fixture
+def q6_file(tmp_path, capsys):
+    return build(capsys, tmp_path / "q6.json", "--family", "Q", "--m", "6")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["build", "--family", "Q", "--k", "3", "--m", "6"],
+    ["profile", "Q6"],
+    ["alpha", "eval", "--fn", "phi", "--alpha", "0.2"],
+    ["alpha", "solve", "--family", "P", "--r", "5"],
+    ["alpha", "emit", "--family", "Q", "--m", "8", "--k", "3"],
+    ["rho", "Q6", "--method", "alpha"],
+    ["enumerate", "--k", "3", "--m", "6"],
+], ids=["help", "build", "profile", "alpha-eval", "alpha-solve", "alpha-emit", "rho-alpha",
+        "enumerate"])
+def test_commands_that_never_iterate_load_no_numpy(argv, q6_file):
+    argv = [q6_file if a == "Q6" else a for a in argv]
+    assert run_fresh(argv, "'numpy' in sys.modules") == "False"
+
+
+def test_rho_loads_numpy_with_one_blas_thread(q6_file):
+    report = "'numpy' in sys.modules, len(os.listdir('/proc/self/task'))"
+    assert run_fresh(["rho", q6_file], report) == "True 1"

@@ -318,6 +318,14 @@ def test_file_round_trip(tmp_path):
         assert path.read_bytes() == before
 
 
+def test_numpy_integer_ids_save_as_json(tmp_path):
+    h = Hypergraph(k=3, n=5, edges=tuple(tuple(np.arange(3) + s) for s in (0, 2)))
+    path = tmp_path / "h.json"
+    save_hypergraph(h, str(path))
+    assert path.read_text() == '{"k": 3, "n": 5, "edges": [[0, 1, 2], [2, 3, 4]]}\n'
+    assert load_hypergraph(str(path)) == h
+
+
 def test_json_vertex_count_mismatch_rejected():
     with pytest.raises(ValueError, match="vertex count"):
         hypergraph_from_json('{"k": 3, "n": 7, "edges": [[0, 1, 2]]}')
